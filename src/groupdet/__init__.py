@@ -85,7 +85,7 @@ from .search import (
     lambda_heisenberg,
     min_coprime_residue,
 )
-from ._roots import active_backend, polynomial_roots, set_backend
+from ._roots import polynomial_roots
 from .mahler import (
     LaurentPoly,
     d_infinity_h_fourcomponent,

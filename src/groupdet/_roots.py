@@ -2,61 +2,18 @@
 
 All numeric measures reduce to finding every root of a modest-degree
 polynomial at once; the simultaneous iteration does that with cubic
-convergence and no deflation error accumulation.  Two interchangeable
-backends exist: a per-root loop kernel (``_aberth_numba``) and a
-vectorized numpy kernel, selected by the GDET_BACKEND environment
-variable (auto | numba | numpy, default auto = numba when importable,
-else numpy).  numba is optional (the ``jit`` extra): without it the loop
-kernel is not compiled and runs as plain Python from the same source.
+convergence and no deflation error accumulation.  One numpy kernel
+updates all roots of a polynomial per sweep.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import InvalidParameter, RootFindingFailed, ZeroPolynomial
+from .errors import RootFindingFailed, ZeroPolynomial
 
 MAX_ITER = 200
 STEP_TOL = 1e-13
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional; the loop kernel then runs uncompiled
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(f):
-            return f
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
-
-_backend = os.environ.get("GDET_BACKEND", "auto").strip().lower()
-if _backend not in ("auto", "numba", "numpy"):
-    _backend = "auto"
-if _backend == "auto":
-    _backend = "numba" if _HAVE_NUMBA else "numpy"
-elif _backend == "numba" and not _HAVE_NUMBA:  # pragma: no cover
-    _backend = "numpy"
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> str:
-    """Switch kernels at runtime (mostly for tests and benchmarks)."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise InvalidParameter(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:  # pragma: no cover
-        raise InvalidParameter("numba is not importable in this environment")
-    _backend = name
-    return _backend
 
 
 def _initial_points(c: np.ndarray) -> np.ndarray:
@@ -70,7 +27,7 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     return (r * 1.15) * np.exp(2j * np.pi * (k + 0.357) / n + 0.4j)
 
 
-def _aberth_numpy(c: np.ndarray, z: np.ndarray, max_iter: int, tol: float):
+def _aberth(c: np.ndarray, z: np.ndarray, max_iter: int, tol: float):
     n = len(c) - 1
     dc = c[1:] * np.arange(1, n + 1)
     for it in range(max_iter):
@@ -100,50 +57,6 @@ def _aberth_numpy(c: np.ndarray, z: np.ndarray, max_iter: int, tol: float):
     return z, False
 
 
-@njit(cache=True)
-def _aberth_numba(c, z, max_iter, tol):  # pragma: no cover - exercised via wrapper
-    n = len(c) - 1
-    dc = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        dc[i] = c[i + 1] * (i + 1)
-    corr = np.empty(n, dtype=np.complex128)
-    for it in range(max_iter):
-        retry = False
-        for i in range(n):
-            zi = z[i]
-            pz = 0.0 + 0.0j
-            for a in range(n, -1, -1):
-                pz = pz * zi + c[a]
-            dpz = 0.0 + 0.0j
-            for a in range(n - 1, -1, -1):
-                dpz = dpz * zi + dc[a]
-            if dpz == 0:
-                z[i] = zi + 1e-6 * (1.0 + abs(zi))
-                retry = True
-                continue
-            w = pz / dpz
-            s = 0.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    s += 1.0 / (zi - z[j])
-            denom = 1.0 - w * s
-            if denom == 0:
-                z[i] = zi + 1e-6 * (1.0 + abs(zi))
-                retry = True
-                continue
-            corr[i] = w / denom
-        if retry:
-            continue
-        done = True
-        for i in range(n):
-            z[i] = z[i] - corr[i]
-            if abs(corr[i]) > tol * (1.0 + abs(z[i])):
-                done = False
-        if done:
-            return z, True
-    return z, False
-
-
 def polynomial_roots(coeffs, max_iter: int = MAX_ITER, tol: float = STEP_TOL) -> np.ndarray:
     """All complex roots of sum(coeffs[i] * x^i), counted with multiplicity.
 
@@ -164,11 +77,7 @@ def polynomial_roots(coeffs, max_iter: int = MAX_ITER, tol: float = STEP_TOL) ->
     if len(c) == 1:
         return origin
     c = c / c[-1]
-    z0 = _initial_points(c)
-    if _backend == "numba":
-        z, ok = _aberth_numba(c, z0.copy(), max_iter, tol)
-    else:
-        z, ok = _aberth_numpy(c, z0.copy(), max_iter, tol)
+    z, ok = _aberth(c, _initial_points(c), max_iter, tol)
     if not ok:
         raise RootFindingFailed(
             f"no convergence after {max_iter} iterations on degree {len(c) - 1}")

@@ -25,7 +25,6 @@ import random
 import sys
 import time
 
-from ._roots import active_backend
 from .cyclotomic import is_prime
 from .errors import (
     BudgetExceeded,
@@ -36,20 +35,14 @@ from .errors import (
     ZeroPolynomial,
     ZeroSlice,
 )
-from .groups import group_determinant, poly_from_json
+from .groups import KINDS, group_determinant, kind_of, poly_from_json
 from .mahler import (
     LaurentPoly,
     d_infinity_h_measure,
     d_infinity_measure,
     heisenberg_infinite_measure,
 )
-from .measures import (
-    abelian_measure,
-    circulant_det,
-    dicyclic_measure,
-    dihedral_measure,
-    heisenberg_measure,
-)
+from .measures import heisenberg_measure
 from .parsing import bivariate_yz, parse_poly, univariate
 from .search import SearchConfig, enumerate_values, lambda_heisenberg
 from .verify import (
@@ -88,15 +81,6 @@ def _echo_digest(echo: dict) -> str:
     return _digest(json.dumps(echo, sort_keys=True).encode())
 
 
-def _smallest_prime_factor(n: int) -> int:
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 1
-    return n
-
-
 def _json_valuation(v):
     return None if v == math.inf else int(v)
 
@@ -104,43 +88,15 @@ def _json_valuation(v):
 # -- compute / oracle -------------------------------------------------------
 
 
-def _fast_measure(pin):
-    """(route name, determinant) by the fastest exact route for the kind.
-
-    Heisenberg input returns the full factorization object instead of a
-    bare integer so the caller can report the two factors.
-    """
-    if pin.kind == "heisenberg":
-        return "factorized", heisenberg_measure(pin.to_heisenberg())
-    if pin.kind == "cyclic":
-        n = pin.params[0]
-        h = [0] * n
-        for (e,), c in pin.terms:
-            h[e] += c
-        return "circulant", circulant_det(h, n)
-    if pin.kind in ("elementary", "product"):
-        try:
-            return "character-product", abelian_measure(pin.to_group_ring())
-        except InvalidParameter:
-            # mixed-order products have no character shortcut here
-            return "cayley", group_determinant(pin.to_group_ring())
-    if pin.kind == "dihedral":
-        f, g = pin.split_two_part()
-        return "two-part", dihedral_measure(f, g, pin.params[0] // 2)
-    if pin.kind == "dicyclic":
-        f, g = pin.split_two_part()
-        return "two-part", dicyclic_measure(f, g, pin.params[0] // 4)
-    raise InvalidParameter(f"unknown group kind {pin.kind!r}")
-
-
 def _cmd_compute(ns):
     data = open(ns.poly, "rb").read()
     pin = poly_from_json(data.decode())
-    route, out = _fast_measure(pin)
+    kind = kind_of(pin.kind)
+    route, exact = kind.route(pin.group())
     group = pin.group().describe()
     value_at_one = sum(c for _, c in pin.terms)
     if pin.kind == "heisenberg":
-        fac = out
+        fac = heisenberg_measure(pin.to_heisenberg())
         p = fac.p
         m = fac.m
         cong = check_measure_congruence(pin.to_heisenberg(), fac)
@@ -169,8 +125,8 @@ def _cmd_compute(ns):
             "all_checks_pass": ok,
         }
         return results, 0 if ok else 1, None, _digest(data)
-    m = out
-    q = 2 if pin.kind in ("dihedral", "dicyclic") else _smallest_prime_factor(group["order"])
+    m = exact(pin.to_group_ring().coeffs)
+    q = kind.base_prime(pin.params)
     results = {
         "group": group,
         "route": route,
@@ -185,11 +141,12 @@ def _cmd_compute(ns):
 def _cmd_oracle(ns):
     data = open(ns.poly, "rb").read()
     pin = poly_from_json(data.decode())
-    m_oracle = group_determinant(pin.to_group_ring())
-    route, out = _fast_measure(pin)
-    m_fast = out.m if pin.kind == "heisenberg" else out
+    f = pin.to_group_ring()
+    m_oracle = group_determinant(f)
+    route, exact = kind_of(pin.kind).route(f.group)
+    m_fast = exact(f.coeffs)
     results = {
-        "group": pin.group().describe(),
+        "group": f.group.describe(),
         "m_oracle": str(m_oracle),
         "m_fast": str(m_fast),
         "fast_route": route,
@@ -309,9 +266,8 @@ def _cmd_h3_values(ns):
 
 def _parse_group_token(token: str):
     kind, sep, rest = token.partition(":")
-    known = ("cyclic", "elementary", "heisenberg", "dihedral", "dicyclic", "product")
-    if kind not in known:
-        raise ParseError(f"unknown group kind {kind!r} (expected one of {', '.join(known)})")
+    if kind not in KINDS:
+        raise ParseError(f"unknown group kind {kind!r} (expected one of {', '.join(KINDS)})")
     if not sep or not rest:
         raise ParseError(f"group token {token!r} needs parameters, e.g. heisenberg:3")
     try:
@@ -379,7 +335,6 @@ def _cmd_measure(ns):
         "measure": ns.which,
         "f": ns.f,
         "g": ns.g,
-        "backend": active_backend(),
         "value": value,
     }
     if ns.which == "heis":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InexactDivision, InvalidParameter, PrimeMismatch
+from .errors import InexactDivision, InvalidParameter, NotInteger, PrimeMismatch
 from .exactdet import RingElement
 
 
@@ -182,7 +182,8 @@ class CycInt(RingElement):
     def norm(self) -> int:
         """Field norm down to Z (product over all conjugates)."""
         n = (self * self.conjugates_product()).as_integer()
-        assert n is not None, "norm must be a rational integer"
+        if n is None:
+            raise NotInteger(f"norm of {self!r} is not a rational integer")
         return n
 
     def as_integer(self):
@@ -250,7 +251,8 @@ class CycInt(RingElement):
             raise PrimeMismatch(f"mixed primes {self.p} and {other.p}")
         conj = other.conjugates_product()
         denom = (other * conj).as_integer()
-        assert denom is not None, "norm must be a rational integer"
+        if denom is None:
+            raise NotInteger(f"norm of {other!r} is not a rational integer")
         if denom == 0:
             raise ZeroDivisionError("division by zero in Z[w]")
         num = self * conj

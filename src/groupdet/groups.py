@@ -4,25 +4,87 @@ Groups are concrete: a multiplication table, inverse table, and a labeling
 of elements by exponent tuples for the generators of each supported kind
 (cyclic, products of cyclics, the order-p^3 Heisenberg group, dihedral,
 dicyclic).  The table route is the slow, obviously-correct oracle that the
-factorized determinant formulas are checked against.
+factorized determinant formulas are checked against.  ``KINDS`` maps each
+kind name to what the package knows about it: parameters, label moduli,
+builder and exact route.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iter_product
+from typing import Callable
 
 import numpy as np
 
 from .cyclotomic import is_prime
 from .errors import InvalidParameter, ParseError
 from .exactdet import det_bareiss
+from .measures import (
+    abelian_measure,
+    circulant_det,
+    dicyclic_measure,
+    dihedral_measure,
+    heisenberg_measure,
+    measure_h3,
+)
 
 # The Cayley-matrix route is quadratic in group order in memory and worse
 # in time; it exists for cross-checking, not production work.
 MAX_ORACLE_ORDER = 300
+
+
+@dataclass(frozen=True)
+class GroupKind:
+    """Everything the package knows about one kind of group.
+
+    ``keys`` name the parameters in the polynomial JSON; a ``variadic``
+    kind takes all its parameters as one list under its single key.
+    ``moduli(params)`` is the modulus of each exponent in an element
+    label, so its length is the label arity and its product the group
+    order; ``additive`` kinds multiply labels by adding them componentwise.
+    ``build(params)`` makes the group, and ``route(group)`` gives its exact
+    determinant as (route name, function of the flat coefficient vector
+    in ``element_exps`` order).
+    """
+
+    keys: tuple
+    moduli: Callable
+    build: Callable
+    route: Callable
+    additive: bool = False
+    variadic: bool = False
+
+    def order(self, params) -> int:
+        return math.prod(self.moduli(params))
+
+    def base_prime(self, params) -> int:
+        """Smallest prime factor of the order: the modulus of the search
+        filters and of reported valuations (2 for dihedral and dicyclic
+        groups, whose orders are even)."""
+        n = self.order(params)
+        f = 2
+        while f * f <= n:
+            if n % f == 0:
+                return f
+            f += 1
+        return n
+
+    def json_params(self, params) -> dict:
+        if self.variadic:
+            return {self.keys[0]: list(params)}
+        return dict(zip(self.keys, params))
+
+
+def kind_of(name) -> GroupKind:
+    """The ``KINDS`` entry for a kind name; InvalidParameter if unknown."""
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise InvalidParameter(f"unknown group kind {name!r}") from None
 
 
 class GroupSpec:
@@ -35,11 +97,12 @@ class GroupSpec:
     associativity.
     """
 
-    __slots__ = ("kind", "params", "order", "mul", "inv", "element_exps", "_index")
+    __slots__ = ("kind", "params", "moduli", "order", "mul", "inv", "element_exps", "_index")
 
     def __init__(self, kind, params, mul, element_exps, check=True):
         self.kind = kind
         self.params = tuple(params)
+        self.moduli = kind_of(kind).moduli(self.params)
         self.order = len(mul)
         self.mul = tuple(tuple(row) for row in mul)
         self.element_exps = tuple(tuple(e) for e in element_exps)
@@ -87,42 +150,26 @@ class GroupSpec:
     def reduce_exps(self, exps):
         """Normalize an exponent tuple into the canonical label range."""
         exps = tuple(int(e) for e in exps)
-        kind, params = self.kind, self.params
-        if kind in ("cyclic", "product", "elementary"):
-            ns = params if kind == "product" else (
-                (params[0],) if kind == "cyclic" else (params[0],) * params[1])
-            if len(exps) != len(ns):
-                raise InvalidParameter(f"need {len(ns)} exponents, got {len(exps)}")
-            return tuple(e % n for e, n in zip(exps, ns))
-        if kind == "heisenberg":
-            p = params[0]
-            if len(exps) != 3:
-                raise InvalidParameter(f"need 3 exponents, got {len(exps)}")
-            return tuple(e % p for e in exps)
-        if kind in ("dihedral", "dicyclic"):
-            half = self.order // 2
-            if len(exps) != 2:
-                raise InvalidParameter(f"need 2 exponents, got {len(exps)}")
-            return (exps[0] % half, exps[1] % 2)
-        raise InvalidParameter(f"unknown group kind {kind!r}")
+        if len(exps) != len(self.moduli):
+            raise InvalidParameter(f"need {len(self.moduli)} exponents, got {len(exps)}")
+        return tuple(e % n for e, n in zip(exps, self.moduli))
 
     def is_abelian(self) -> bool:
         return all(self.mul[i][j] == self.mul[j][i]
                    for i in range(self.order) for j in range(i))
 
+    def elementary_prime(self):
+        """p when the group is (Z_p)^n with labels adding componentwise,
+        for a prime p; otherwise None."""
+        p = self.moduli[0]
+        if (kind_of(self.kind).additive and is_prime(p)
+                and all(n == p for n in self.moduli)):
+            return p
+        return None
+
     def describe(self) -> dict:
-        d = {"kind": self.kind, "order": self.order}
-        if self.kind == "cyclic":
-            d["n"] = self.params[0]
-        elif self.kind == "elementary":
-            d["p"], d["n"] = self.params
-        elif self.kind == "product":
-            d["orders"] = list(self.params)
-        elif self.kind == "heisenberg":
-            d["p"] = self.params[0]
-        else:
-            d["order"] = self.order
-        return d
+        return {"kind": self.kind, "order": self.order,
+                **kind_of(self.kind).json_params(self.params)}
 
 
 # -- builders ----------------------------------------------------------
@@ -130,25 +177,11 @@ class GroupSpec:
 
 @lru_cache(maxsize=None)
 def _cached_group(kind, params) -> GroupSpec:
-    if kind == "cyclic":
-        return _build_product((params[0],), "cyclic", params)
-    if kind == "elementary":
-        p, n = params
-        if not is_prime(p):
-            raise InvalidParameter(f"{p} is not prime")
-        return _build_product((p,) * n, "elementary", params)
-    if kind == "product":
-        return _build_product(params, "product", params)
-    if kind == "heisenberg":
-        return _build_heisenberg(params[0])
-    if kind == "dihedral":
-        return _build_dihedral(params[0])
-    if kind == "dicyclic":
-        return _build_dicyclic(params[0])
-    raise InvalidParameter(f"unknown group kind {kind!r}")
+    return kind_of(kind).build(params)
 
 
-def _build_product(ns, kind, params) -> GroupSpec:
+def _build_product(kind, params) -> GroupSpec:
+    ns = kind_of(kind).moduli(params)
     if not ns or any(n < 1 for n in ns):
         raise InvalidParameter(f"bad cyclic factors {ns}")
     elems = list(iter_product(*(range(n) for n in ns)))
@@ -156,6 +189,12 @@ def _build_product(ns, kind, params) -> GroupSpec:
     mul = [[index[tuple((a + b) % n for a, b, n in zip(x, y, ns))] for y in elems]
            for x in elems]
     return GroupSpec(kind, params, mul, elems)
+
+
+def _build_elementary(params) -> GroupSpec:
+    if not is_prime(params[0]):
+        raise InvalidParameter(f"{params[0]} is not prime")
+    return _build_product("elementary", params)
 
 
 def _heisenberg_triple_mul(a, b, p):
@@ -206,14 +245,60 @@ def _build_dicyclic(order: int) -> GroupSpec:
     return GroupSpec("dicyclic", (order,), mul, elems)
 
 
+# -- exact routes on flat coefficient vectors ----------------------------
+
+
+def _circulant_route(g):
+    n = g.order
+    return "circulant", lambda c: circulant_det(c, n)
+
+
+def _abelian_route(g):
+    # character products need (Z_p)^n; other products of cyclics use Cayley
+    if g.elementary_prime() is None:
+        return "cayley", lambda c: group_determinant(GroupRingElt(g, c))
+    return "character-product", lambda c: abelian_measure(GroupRingElt(g, c))
+
+
+def _heisenberg_route(g):
+    p = g.params[0]
+    if p == 3:
+        return "factorized", lambda c: measure_h3(c)
+    return "factorized", lambda c: heisenberg_measure(HeisenbergPoly.from_flat(p, c)).m
+
+
+def _dihedral_route(g):
+    n = g.order // 2
+    return "two-part", lambda c: dihedral_measure(c[:n], c[n:], n)
+
+
+def _dicyclic_route(g):
+    n = g.order // 4
+    return "two-part", lambda c: dicyclic_measure(c[:2 * n], c[2 * n:], n)
+
+
+KINDS = {
+    "cyclic": GroupKind(("n",), lambda ps: (ps[0],), partial(_build_product, "cyclic"),
+                        _circulant_route, additive=True),
+    "elementary": GroupKind(("p", "n"), lambda ps: (ps[0],) * ps[1], _build_elementary,
+                            _abelian_route, additive=True),
+    "heisenberg": GroupKind(("p",), lambda ps: (ps[0],) * 3,
+                            lambda ps: _build_heisenberg(ps[0]), _heisenberg_route),
+    "dihedral": GroupKind(("order",), lambda ps: (ps[0] // 2, 2),
+                          lambda ps: _build_dihedral(ps[0]), _dihedral_route),
+    "dicyclic": GroupKind(("order",), lambda ps: (ps[0] // 2, 2),
+                          lambda ps: _build_dicyclic(ps[0]), _dicyclic_route),
+    "product": GroupKind(("orders",), tuple, partial(_build_product, "product"),
+                         _abelian_route, additive=True, variadic=True),
+}
+
+
 def build_group(kind: str, *params) -> GroupSpec:
     """Build (and cache) one of the supported group kinds.
 
     kinds: cyclic(n), elementary(p, n), product(n1, ..., nk),
     heisenberg(p), dihedral(order), dicyclic(order).
     """
-    if kind == "product":
-        return _cached_group(kind, tuple(int(p) for p in params[0]))
     return _cached_group(kind, tuple(int(p) for p in params))
 
 
@@ -226,7 +311,7 @@ def elementary_group(p, n):
 
 
 def product_group(ns):
-    return build_group("product", ns)
+    return build_group("product", *ns)
 
 
 def heisenberg_group(p):
@@ -339,6 +424,18 @@ class HeisenbergPoly:
             out.a[i % p][j % p][k % p] += int(c)
         return out
 
+    @classmethod
+    def from_flat(cls, p: int, coeffs) -> "HeisenbergPoly":
+        """Inverse of flat(): a[i][j][k] is coeffs[(i * p + j) * p + k]."""
+        out = cls(p)
+        idx = 0
+        for plane in out.a:
+            for row in plane:
+                for k in range(p):
+                    row[k] = coeffs[idx]
+                    idx += 1
+        return out
+
     def coef(self, i: int, j: int, k: int) -> int:
         return self.a[i % self.p][j % self.p][k % self.p]
 
@@ -437,8 +534,6 @@ class PolyInput:
     terms: list  # [(exps tuple, int coef), ...]
 
     def group(self) -> GroupSpec:
-        if self.kind == "product":
-            return build_group("product", self.params)
         return build_group(self.kind, *self.params)
 
     def to_group_ring(self) -> GroupRingElt:
@@ -448,30 +543,6 @@ class PolyInput:
         if self.kind != "heisenberg":
             raise InvalidParameter(f"polynomial is over {self.kind}, not heisenberg")
         return HeisenbergPoly.from_terms(self.params[0], self.terms)
-
-    def split_two_part(self):
-        """For dihedral/dicyclic input, the pair (f, g) with F = f + y g."""
-        if self.kind not in ("dihedral", "dicyclic"):
-            raise InvalidParameter(f"no f/g split for kind {self.kind!r}")
-        order = self.params[0]
-        half = order // 2
-        f = [0] * half
-        g = [0] * half
-        for (i, j), c in ((tuple(e), c) for e, c in self.terms):
-            if j % 2:
-                g[i % half] += c
-            else:
-                f[i % half] += c
-        return f, g
-
-
-_KIND_PARAM_KEYS = {
-    "cyclic": ("n",),
-    "elementary": ("p", "n"),
-    "heisenberg": ("p",),
-    "dihedral": ("order",),
-    "dicyclic": ("order",),
-}
 
 
 def poly_from_json(text: str) -> PolyInput:
@@ -495,27 +566,22 @@ def poly_from_json(text: str) -> PolyInput:
     if not isinstance(group, dict) or "kind" not in group:
         raise ParseError("missing or malformed 'group' object")
     kind = group["kind"]
-    if kind == "product":
-        orders = group.get("orders")
-        if (not isinstance(orders, list) or not orders
-                or not all(isinstance(n, int) and n >= 1 for n in orders)):
-            raise ParseError("product group needs a nonempty 'orders' list")
-        params = tuple(orders)
-        nexps = len(orders)
-    elif kind in _KIND_PARAM_KEYS:
-        params = []
-        for key in _KIND_PARAM_KEYS[kind]:
-            v = group.get(key)
+    spec = KINDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ParseError(f"unknown group kind {kind!r}")
+    if spec.variadic:
+        key = spec.keys[0]
+        params = group.get(key)
+        if (not isinstance(params, list) or not params
+                or not all(isinstance(n, int) and n >= 1 for n in params)):
+            raise ParseError(f"{kind} group needs a nonempty {key!r} list")
+    else:
+        params = [group.get(key) for key in spec.keys]
+        for key, v in zip(spec.keys, params):
             if not isinstance(v, int) or v < 1:
                 raise ParseError(f"group key {key!r} must be a positive integer")
-            params.append(v)
-        params = tuple(params)
-        nexps = {"cyclic": 1, "elementary": None, "heisenberg": 3,
-                 "dihedral": 2, "dicyclic": 2}[kind]
-        if kind == "elementary":
-            nexps = params[1]
-    else:
-        raise ParseError(f"unknown group kind {kind!r}")
+    params = tuple(params)
+    nexps = len(spec.moduli(params))
     terms_in = obj.get("terms")
     if not isinstance(terms_in, list):
         raise ParseError("missing or malformed 'terms' list")
@@ -544,14 +610,8 @@ def poly_from_json(text: str) -> PolyInput:
 
 
 def poly_to_json(kind: str, params, terms) -> str:
-    group: dict = {"kind": kind}
-    if kind == "product":
-        group["orders"] = list(params)
-    else:
-        for key, v in zip(_KIND_PARAM_KEYS[kind], params):
-            group[key] = v
     body = {
-        "group": group,
+        "group": {"kind": kind, **kind_of(kind).json_params(params)},
         "terms": [{"exps": list(e), "coef": str(c)} for e, c in terms],
     }
     return json.dumps(body, indent=2)

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .cyclotomic import CycInt, eval_bivariate_at_roots, is_prime
+from .cyclotomic import CycInt, eval_bivariate_at_roots
 from .errors import InvalidParameter, NotInteger
 from .exactdet import det_bareiss
-from .groups import GroupRingElt, HeisenbergPoly
 from .polyring import IntPoly
+
+if TYPE_CHECKING:  # groups imports this module for its exact routes
+    from .groups import GroupRingElt, HeisenbergPoly
 
 
 def certified_int_product(values) -> int:
@@ -49,21 +51,13 @@ def abelian_measure(f: GroupRingElt) -> int:
     the only abelian shape the rest of the package needs exactly).
     """
     g = f.group
-    if g.kind == "cyclic":
-        factors = (g.params[0],)
-    elif g.kind == "elementary":
-        factors = (g.params[0],) * g.params[1]
-    elif g.kind == "product":
-        factors = g.params
-    else:
-        raise InvalidParameter(f"not a product of cyclic groups: {g.kind!r}")
-    p = factors[0]
-    if not is_prime(p) or any(n != p for n in factors):
+    p = g.elementary_prime()
+    if p is None:
         raise InvalidParameter(
-            f"character products need all factors equal to one prime, got {factors}")
+            f"character products need all factors equal to one prime, got {g.moduli}")
     exps = g.element_exps
     vals = []
-    for char in _all_tuples(p, len(factors)):
+    for char in _all_tuples(p, len(g.moduli)):
         acc = [0] * p
         for idx, c in enumerate(f.coeffs):
             if c:
@@ -179,18 +173,14 @@ def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorizati
     m1 = certified_int_product(m1_terms)
     d_values = []
     for j in range(1, p):
-        prod0 = certified_cyc_product(
-            eval_bivariate_at_roots(f0, i, j, p) for i in range(p))
-        prodk = certified_cyc_product(
-            eval_bivariate_at_roots(fk, i, j, p) for i in range(p))
+        prod0 = reduce(lambda a, b: a * b,
+                       (eval_bivariate_at_roots(f0, i, j, p) for i in range(p)))
+        prodk = reduce(lambda a, b: a * b,
+                       (eval_bivariate_at_roots(fk, i, j, p) for i in range(p)))
         d_values.append(prod0 + prodk)
     m2 = certified_int_product(d_values)
     return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p,
                                    d_values=tuple(d_values))
-
-
-def certified_cyc_product(values) -> CycInt:
-    return reduce(lambda a, b: a * b, values)
 
 
 def _as_grid(coeffs2d, p):
@@ -330,7 +320,8 @@ def measure_h3(coeffs) -> int:
                 m1num, first = v, False
             else:
                 m1num = _h3_mul(m1num, v)
-    assert m1num[1] == 0, "abelian character product must be integral"
+    if m1num[1]:
+        raise NotInteger(f"abelian character product is not a rational integer: {m1num}")
     m1 = m1num[0]
     # block determinants at w and w^2
     m2num = (1, 0)
@@ -346,7 +337,8 @@ def measure_h3(coeffs) -> int:
             t = _h3_mul(_h3_mul(ev[r0][0], ev[r1][1]), ev[r2][2])
             det = (det[0] + s * t[0], det[1] + s * t[1])
         m2num = _h3_mul(m2num, det)
-    assert m2num[1] == 0, "block determinant product must be integral"
+    if m2num[1]:
+        raise NotInteger(f"block determinant product is not a rational integer: {m2num}")
     m2 = m2num[0]
     return m1 * m2 ** 3
 

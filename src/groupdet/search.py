@@ -19,26 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidParameter
-from .groups import GroupRingElt, build_group
-from .measures import (
-    abelian_measure,
-    circulant_det,
-    dicyclic_measure,
-    dihedral_measure,
-    heisenberg_measure,
-    measure_h3,
-)
-from .groups import HeisenbergPoly
-from ._roots import active_backend
+from .errors import BudgetExceeded, GroupDetError, InvalidParameter
+from .groups import build_group, kind_of
 from .verify import achieve_construction, is_power_residue
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional; the numpy table is used instead
-    _HAVE_NUMBA = False
 
 DEFAULT_BUDGET = 100_000_000
 MAX_DISTINCT_VALUES = 1_000_000
@@ -75,34 +58,6 @@ class SearchConfig:
     budget: Optional[int] = None
     max_values: int = MAX_DISTINCT_VALUES
 
-    def group_order(self) -> int:
-        if self.kind == "heisenberg":
-            return self.params[0] ** 3
-        if self.kind == "cyclic":
-            return self.params[0]
-        if self.kind == "elementary":
-            return self.params[0] ** self.params[1]
-        if self.kind == "product":
-            out = 1
-            for n in self.params:
-                out *= n
-            return out
-        if self.kind in ("dihedral", "dicyclic"):
-            return self.params[0]
-        raise InvalidParameter(f"unknown group kind {self.kind!r}")
-
-    def base_prime(self) -> int:
-        """Modulus for the coprime/multiples filters."""
-        if self.kind in ("dihedral", "dicyclic"):
-            return 2
-        n = (self.params[0] if self.kind != "product" else self.params[0])
-        f = 2
-        while f * f <= n:
-            if n % f == 0:
-                return f
-            f += 1
-        return n
-
 
 @dataclass
 class SearchResult:
@@ -116,7 +71,8 @@ class SearchResult:
     def lambda_estimate(self) -> Optional[float]:
         if self.min_nontrivial is None:
             return None
-        return math.log(abs(self.min_nontrivial)) / self.config.group_order()
+        cfg = self.config
+        return math.log(abs(self.min_nontrivial)) / kind_of(cfg.kind).order(cfg.params)
 
     def to_report(self, value_cap: int = 200) -> dict:
         vals = self.attained_values
@@ -144,7 +100,7 @@ class _Collector:
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        self.p = cfg.base_prime()
+        self.p = kind_of(cfg.kind).base_prime(cfg.params)
         self.values = set()
         self.truncated = 0
         self.evaluations = 0
@@ -185,50 +141,16 @@ class _Collector:
             self.best = other.best
 
 
-def _make_evaluator(cfg: SearchConfig):
-    kind, params = cfg.kind, cfg.params
-    if kind == "heisenberg":
-        p = params[0]
-        if p == 3:
-            return lambda coeffs: measure_h3(coeffs)
-
-        def ev(coeffs):
-            f = HeisenbergPoly(p)
-            idx = 0
-            for i in range(p):
-                for j in range(p):
-                    for k in range(p):
-                        f.a[i][j][k] = coeffs[idx]
-                        idx += 1
-            return heisenberg_measure(f).m
-
-        return ev
-    if kind == "cyclic":
-        n = params[0]
-        return lambda coeffs: circulant_det(list(coeffs), n)
-    if kind in ("elementary", "product"):
-        group = (build_group("product", params) if kind == "product"
-                 else build_group(kind, *params))
-        return lambda coeffs: abelian_measure(GroupRingElt(group, list(coeffs)))
-    if kind == "dihedral":
-        n = params[0] // 2
-        return lambda coeffs: dihedral_measure(coeffs[:n], coeffs[n:], n)
-    if kind == "dicyclic":
-        n = params[0] // 4
-        return lambda coeffs: dicyclic_measure(coeffs[:2 * n], coeffs[2 * n:], n)
-    raise InvalidParameter(f"unknown group kind {kind!r}")
-
-
 def _witness_terms(cfg: SearchConfig, coeffs) -> list:
-    group = (build_group("product", cfg.params) if cfg.kind == "product"
-             else build_group(cfg.kind, *cfg.params))
+    group = build_group(cfg.kind, *cfg.params)
     return [(group.element_exps[i], c) for i, c in enumerate(coeffs) if c]
 
 
 def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:
     """Exhaustively evaluate the shard with the leading coefficient fixed."""
-    order = cfg.group_order()
-    ev = _make_evaluator(cfg)
+    kind = kind_of(cfg.kind)
+    order = kind.order(cfg.params)
+    _, ev = kind.route(build_group(cfg.kind, *cfg.params))
     col = _Collector(cfg)
     h = cfg.height
     span = range(-h, h + 1)
@@ -240,7 +162,8 @@ def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:
 
 def enumerate_values(cfg: SearchConfig) -> SearchResult:
     """Run the configured search and merge shard results."""
-    order = cfg.group_order()
+    kind = kind_of(cfg.kind)
+    order = kind.order(cfg.params)
     h = cfg.height
     if h < 0:
         raise InvalidParameter(f"height must be >= 0, got {h}")
@@ -257,7 +180,7 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
         for c0 in range(-h, h + 1):
             total.merge(run_shard(cfg, c0))
     elif cfg.mode == "random":
-        ev = _make_evaluator(cfg)
+        _, ev = kind.route(build_group(cfg.kind, *cfg.params))
         for t in range(cfg.trials):
             rng = random.Random(f"{cfg.seed}:{t}")
             coeffs = tuple(rng.randint(-h, h) for _ in range(order))
@@ -285,10 +208,10 @@ def _result_from_collector(cfg: SearchConfig, col: _Collector) -> SearchResult:
 # integer quantities: with s1 = f(1), s2 = f(-1), |f(i)|^2 = re^2 + im^2,
 # the value is (s1^2 - t1^2)(s2^2 - t2^2)(|f(i)|^2 - |g(i)|^2)^2 where the
 # t's are the same functionals of g.  That turns the (2H+1)^8 enumeration
-# into one outer-product pass; both backends below fill the same table.
+# into one outer-product pass.
 
 
-def _d8_functionals(height: int):
+def _d8_value_table(height: int):
     span = np.arange(-height, height + 1, dtype=np.int64)
     c0, c1, c2, c3 = np.meshgrid(span, span, span, span, indexing="ij")
     c0, c1, c2, c3 = (a.ravel() for a in (c0, c1, c2, c3))
@@ -296,39 +219,10 @@ def _d8_functionals(height: int):
     s2 = (c0 - c1 + c2 - c3) ** 2
     q = (c0 - c2) ** 2 + (c1 - c3) ** 2
     vecs = np.stack([c0, c1, c2, c3], axis=1)
-    return s1, s2, q, vecs
-
-
-def _d8_table_numpy(s1, s2, q):
     a = s1[:, None] - s1[None, :]
     b = s2[:, None] - s2[None, :]
     c = q[:, None] - q[None, :]
-    return a * b * c * c
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _d8_table_numba(s1, s2, q):  # pragma: no cover - exercised via wrapper
-        n = s1.shape[0]
-        out = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                c = q[i] - q[j]
-                out[i, j] = (s1[i] - s1[j]) * (s2[i] - s2[j]) * c * c
-        return out
-
-else:  # pragma: no cover
-    _d8_table_numba = None
-
-
-def _d8_value_table(height: int):
-    s1, s2, q, vecs = _d8_functionals(height)
-    if active_backend() == "numba" and _d8_table_numba is not None:
-        table = _d8_table_numba(s1, s2, q)
-    else:
-        table = _d8_table_numpy(s1, s2, q)
-    return table, vecs
+    return a * b * c * c, vecs
 
 
 def _enumerate_dihedral8(cfg: SearchConfig) -> SearchResult:
@@ -394,7 +288,8 @@ def lambda_heisenberg(p: int) -> dict:
             break
         if witness:
             break
-    assert is_power_residue(min_x, p, 3)
+    if not is_power_residue(min_x, p, 3):
+        raise GroupDetError(f"residue scan returned {min_x}, not a unit residue mod {p}^3")
     return {
         "p": p,
         "min_nontrivial": min_x,

@@ -7,9 +7,11 @@ message naming the offending token.
 
 import json
 import math
+from itertools import product
 
 import pytest
 
+from groupdet import CycInt, GroupRingElt, NotInteger, group_determinant, product_group
 from groupdet.cli import main
 
 LEHMER_LOG = 0.16235761200773813943
@@ -234,6 +236,38 @@ def test_search_exhaustive_report(capsys):
     assert res["trials"] is None and res["seed"] is None
 
 
+def test_search_mixed_product_matches_oracle(capsys):
+    # Z_2 x Z_3 has no character-product shortcut; the search takes the
+    # same Cayley route as compute
+    code, rep = run_report(capsys, "search", "--group", "product:2,3",
+                           "--height", "1")
+    assert code == 0
+    res = rep["results"]
+    g = product_group((2, 3))
+    values = {group_determinant(GroupRingElt(g, c))
+              for c in product((-1, 0, 1), repeat=6)}
+    assert res["attained_values"] == [str(v) for v in sorted(values)]
+    assert abs(int(res["min_nontrivial"])) == min(abs(v) for v in values if abs(v) >= 2)
+    witness = GroupRingElt.from_terms(
+        g, [(t["exps"], int(t["coef"])) for t in res["witness"]])
+    assert group_determinant(witness) == int(res["min_nontrivial"])
+
+
+def test_search_filter_uses_the_base_prime_compute_reports(capsys, tmp_path):
+    path = write_poly(tmp_path, "prod.json", {"kind": "product", "orders": [3, 2]},
+                      [{"exps": [0, 0], "coef": 1}, {"exps": [1, 1], "coef": 1}])
+    code, rep = run_report(capsys, "compute", path)
+    assert code == 0
+    assert rep["results"]["route"] == "cayley"
+    assert rep["results"]["base_prime"] == 2
+    code, rep = run_report(capsys, "search", "--group", "product:3,2",
+                           "--height", "1", "--filter", "coprime")
+    assert code == 0
+    values = [int(v) for v in rep["results"]["attained_values"]]
+    assert values and all(v % 2 for v in values)
+    assert any(v % 3 == 0 for v in values)
+
+
 def test_search_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("GDET_BUDGET", "10")
     code, out, err = run_cli(capsys, "search", "--group", "cyclic:3",
@@ -262,7 +296,6 @@ def test_measure_dinf_reference(capsys):
     assert code == 0
     res = rep["results"]
     assert res["value"] == pytest.approx(LEHMER_LOG / 2, abs=1e-10)
-    assert res["backend"] in ("numba", "numpy")
     assert "points" not in res
 
 
@@ -340,3 +373,24 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_no_arguments_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+def test_failed_integrality_certificate_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(CycInt, "as_integer", lambda self: None)
+    with pytest.raises(NotInteger):
+        CycInt.from_exponent_vector(3, [1, 1, 0]).norm()
+    path = write_poly(tmp_path, "h.json", {"kind": "heisenberg", "p": 3},
+                      [{"exps": [0, 0, 0], "coef": 2}, {"exps": [1, 0, 0], "coef": 1}])
+    code, out, err = run_cli(capsys, "compute", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_failed_residue_certificate_exits_1(capsys, monkeypatch):
+    import groupdet.search
+    monkeypatch.setattr(groupdet.search, "is_power_residue", lambda x, p, n: False)
+    code, out, err = run_cli(capsys, "lambda", "--p", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")

@@ -263,20 +263,6 @@ def test_json_errors_name_the_offender(bad, needle):
     assert needle in str(exc.value)
 
 
-def test_split_two_part():
-    text = json.dumps({
-        "group": {"kind": "dihedral", "order": 8},
-        "terms": [{"exps": [0, 0], "coef": 1}, {"exps": [2, 0], "coef": 3},
-                  {"exps": [1, 1], "coef": -2}, {"exps": [3, 1], "coef": 4}],
-    })
-    pin = poly_from_json(text)
-    f, g = pin.split_two_part()
-    assert f == [1, 0, 3, 0]
-    assert g == [0, -2, 0, 4]
-    with pytest.raises(InvalidParameter):
-        poly_from_json(poly_to_json("cyclic", (3,), [((0,), 1)])).split_two_part()
-
-
 def test_to_group_ring_consistency():
     f = HeisenbergPoly.from_terms(3, [((1, 1, 0), 2), ((0, 0, 2), -1)])
     elt = to_group_ring(f)

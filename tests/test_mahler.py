@@ -16,21 +16,12 @@ from groupdet import (
     RootFindingFailed,
     ZeroPolynomial,
     ZeroSlice,
-    active_backend,
     d_infinity_h_fourcomponent,
     d_infinity_h_measure,
     d_infinity_measure,
     heisenberg_infinite_measure,
     mahler_measure,
     polynomial_roots,
-    set_backend,
-)
-from groupdet._roots import (
-    MAX_ITER,
-    STEP_TOL,
-    _aberth_numba,
-    _aberth_numpy,
-    _initial_points,
 )
 
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
@@ -96,32 +87,10 @@ def _log_measure_of_roots(roots):
 
 
 def test_backends_agree():
-    # both kernels start from the same normalized coefficients and the same
-    # points; without numba, _aberth_numba runs its loop source uncompiled
-    c = np.asarray(LEHMER_COEFFS, dtype=np.complex128)
-    c = c / c[-1]
-    z0 = _initial_points(c)
-    a, ok_np = _aberth_numpy(c, z0.copy(), MAX_ITER, STEP_TOL)
-    b, ok_nb = _aberth_numba(c, z0.copy(), MAX_ITER, STEP_TOL)
-    assert ok_np and ok_nb
-    _assert_same_root_sets(a, b, 1e-12)
-    assert abs(_log_measure_of_roots(a) - _log_measure_of_roots(b)) < 1e-12
-
-
-def test_numba_backend_agrees_end_to_end():
-    pytest.importorskip("numba")
-    before = active_backend()
-    try:
-        set_backend("numpy")
-        a = polynomial_roots(LEHMER_COEFFS)
-        m_np = mahler_measure(LEHMER_COEFFS)
-        set_backend("numba")
-        b = polynomial_roots(LEHMER_COEFFS)
-        m_nb = mahler_measure(LEHMER_COEFFS)
-    finally:
-        set_backend(before)
-    _assert_same_root_sets(a, b, 1e-12)
-    assert abs(m_np - m_nb) < 1e-12
+    # the one Aberth kernel against numpy's companion-matrix eigenvalues
+    ours = polynomial_roots(LEHMER_COEFFS)
+    _assert_same_root_sets(ours, list(np.roots(LEHMER_COEFFS[::-1])), 1e-12)
+    assert abs(_log_measure_of_roots(ours) - LEHMER_LOG) < 1e-12
 
 
 # -- one-variable measure --------------------------------------------------------

@@ -11,6 +11,7 @@ import random
 
 import cmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdet import (
     CycInt,
@@ -35,8 +36,34 @@ from groupdet import (
     negacirculant_det,
     to_group_ring,
 )
+from groupdet.groups import KINDS, build_group, kind_of
 from groupdet.measures import certified_int_product
 from groupdet.verify import random_heisenberg_poly
+
+
+# -- the group-kind table ---------------------------------------------------
+
+# Small parameters (order <= 32) for every kind in the table; a kind added
+# to the table without an entry here fails the test below.
+SMALL_PARAMS = {
+    "cyclic": st.integers(1, 32).map(lambda n: (n,)),
+    "elementary": st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (5, 2)]),
+    "heisenberg": st.just((3,)),
+    "dihedral": st.integers(1, 16).map(lambda n: (2 * n,)),
+    "dicyclic": st.integers(1, 8).map(lambda n: (4 * n,)),
+    "product": st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple).filter(
+        lambda ns: math.prod(ns) <= 32),
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_table_route_equals_oracle(kind, data):
+    g = build_group(kind, *data.draw(SMALL_PARAMS[kind], label="params"))
+    coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * g.order), label="coeffs")
+    _, exact = kind_of(kind).route(g)
+    assert exact(coeffs) == group_determinant(GroupRingElt(g, coeffs))
 
 
 # -- abelian character products --------------------------------------------
