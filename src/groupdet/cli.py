@@ -35,7 +35,7 @@ from .errors import (
     ZeroPolynomial,
     ZeroSlice,
 )
-from .groups import KINDS, group_determinant, kind_of, poly_from_json
+from .groups import KINDS, describe_group, group_determinant, kind_of, poly_from_json
 from .mahler import (
     LaurentPoly,
     d_infinity_h_measure,
@@ -92,19 +92,19 @@ def _cmd_compute(ns):
     data = open(ns.poly, "rb").read()
     pin = poly_from_json(data.decode())
     kind = kind_of(pin.kind)
-    route, exact = kind.route(pin.group())
-    group = pin.group().describe()
+    route, exact = kind.route(pin.params)
+    group = describe_group(pin.kind, pin.params)
     value_at_one = sum(c for _, c in pin.terms)
     if pin.kind == "heisenberg":
-        fac = heisenberg_measure(pin.to_heisenberg())
-        p = fac.p
-        m = fac.m
-        cong = check_measure_congruence(pin.to_heisenberg(), fac)
+        f = pin.to_heisenberg()
+        fac = heisenberg_measure(f)
+        p, m = fac.p, fac.m
+        cong = check_measure_congruence(f, fac)
         coprime = math.gcd(m, p) == 1
         residue_ok = is_power_residue(m, p, 3) if coprime else None
         div_ok = None
         if not coprime:
-            div_ok = heisenberg_divisibility_check(pin.to_heisenberg(), fac).meets_bound
+            div_ok = heisenberg_divisibility_check(f, fac).meets_bound
         checks = {
             "congruence_mod_p3": cong.holds,
             "coprime_residue": residue_ok,
@@ -143,10 +143,10 @@ def _cmd_oracle(ns):
     pin = poly_from_json(data.decode())
     f = pin.to_group_ring()
     m_oracle = group_determinant(f)
-    route, exact = kind_of(pin.kind).route(f.group)
+    route, exact = kind_of(pin.kind).route(pin.params)
     m_fast = exact(f.coeffs)
     results = {
-        "group": f.group.describe(),
+        "group": describe_group(pin.kind, pin.params),
         "m_oracle": str(m_oracle),
         "m_fast": str(m_fast),
         "fast_route": route,
@@ -274,6 +274,10 @@ def _parse_group_token(token: str):
         params = tuple(int(t, 10) for t in rest.split(","))
     except ValueError:
         raise ParseError(f"bad group parameters in {token!r}") from None
+    spec = KINDS[kind]
+    if not spec.variadic and len(params) != len(spec.keys):
+        raise ParseError(f"group token {token!r} needs {len(spec.keys)} parameter(s) "
+                         f"({', '.join(spec.keys)}), got {len(params)}")
     return kind, params
 
 

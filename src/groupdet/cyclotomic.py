@@ -39,7 +39,7 @@ class CycInt(RingElement):
     :class:`PrimeMismatch`; integer operands are coerced.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "coeffs", "_clearing")
 
     def __init__(self, p: int, coeffs):
         coeffs = tuple(coeffs)
@@ -181,10 +181,21 @@ class CycInt(RingElement):
 
     def norm(self) -> int:
         """Field norm down to Z (product over all conjugates)."""
-        n = (self * self.conjugates_product()).as_integer()
+        return self._clear()[1]
+
+    def _clear(self):
+        """(conjugates product, norm), computed once per element: a Bareiss
+        pivot divides a whole step, and elements never change."""
+        try:
+            return self._clearing
+        except AttributeError:
+            pass
+        conj = self.conjugates_product()
+        n = (self * conj).as_integer()
         if n is None:
             raise NotInteger(f"norm of {self!r} is not a rational integer")
-        return n
+        self._clearing = conj, n
+        return conj, n
 
     def as_integer(self):
         """The rational integer this element equals, or None.
@@ -241,7 +252,9 @@ class CycInt(RingElement):
         Clears the denominator with its Galois conjugates, so the division
         reduces to p - 1 integer divisions by the norm.  Exactness of all
         of them is equivalent to divisibility in Z[w] because the ring is
-        an integral domain.
+        an integral domain.  The conjugates product and the norm are
+        computed on the first division by ``other`` and kept on it, so
+        each further division by the same divisor costs one product.
         """
         if isinstance(other, int):
             other = CycInt.from_int(self.p, other)
@@ -249,10 +262,7 @@ class CycInt(RingElement):
             raise TypeError(f"cannot divide CycInt by {type(other).__name__}")
         elif other.p != self.p:
             raise PrimeMismatch(f"mixed primes {self.p} and {other.p}")
-        conj = other.conjugates_product()
-        denom = (other * conj).as_integer()
-        if denom is None:
-            raise NotInteger(f"norm of {other!r} is not a rational integer")
+        conj, denom = other._clear()
         if denom == 0:
             raise ZeroDivisionError("division by zero in Z[w]")
         num = self * conj

@@ -46,17 +46,27 @@ class GroupKind:
     ``moduli(params)`` is the modulus of each exponent in an element
     label, so its length is the label arity and its product the group
     order; ``additive`` kinds multiply labels by adding them componentwise.
-    ``build(params)`` makes the group, and ``route(group)`` gives its exact
-    determinant as (route name, function of the flat coefficient vector
-    in ``element_exps`` order).
+    ``check(params)`` raises InvalidParameter unless the parameters name a
+    group of the kind, and runs before ``make(params)`` builds the group or
+    ``exact(params)`` gives its exact determinant as (route name, function
+    of the flat coefficient vector in ``element_exps`` order).
     """
 
     keys: tuple
     moduli: Callable
-    build: Callable
-    route: Callable
+    check: Callable
+    make: Callable
+    exact: Callable
     additive: bool = False
     variadic: bool = False
+
+    def build(self, params) -> "GroupSpec":
+        self.check(params)
+        return self.make(params)
+
+    def route(self, params):
+        self.check(params)
+        return self.exact(params)
 
     def order(self, params) -> int:
         return math.prod(self.moduli(params))
@@ -167,9 +177,40 @@ class GroupSpec:
             return p
         return None
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "order": self.order,
-                **kind_of(self.kind).json_params(self.params)}
+
+def describe_group(kind, params) -> dict:
+    """The report's description of a group, without building it."""
+    spec = kind_of(kind)
+    return {"kind": kind, "order": spec.order(params), **spec.json_params(params)}
+
+
+# -- parameter checks ----------------------------------------------------
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise InvalidParameter(message)
+
+
+def _check_factors(ns) -> None:
+    _require(ns and all(n >= 1 for n in ns), f"bad cyclic factors {ns}")
+
+
+def _check_elementary(ps) -> None:
+    _require(is_prime(ps[0]), f"{ps[0]} is not prime")
+    _check_factors((ps[0],) * ps[1])
+
+
+def _check_heisenberg(ps) -> None:
+    _require(is_prime(ps[0]) and ps[0] != 2, f"Heisenberg group needs an odd prime, got {ps[0]}")
+
+
+def _check_dihedral(ps) -> None:
+    _require(ps[0] >= 2 and ps[0] % 2 == 0, f"dihedral order must be even, got {ps[0]}")
+
+
+def _check_dicyclic(ps) -> None:
+    _require(ps[0] >= 4 and ps[0] % 4 == 0, f"dicyclic order must be divisible by 4, got {ps[0]}")
 
 
 # -- builders ----------------------------------------------------------
@@ -182,8 +223,6 @@ def _cached_group(kind, params) -> GroupSpec:
 
 def _build_product(kind, params) -> GroupSpec:
     ns = kind_of(kind).moduli(params)
-    if not ns or any(n < 1 for n in ns):
-        raise InvalidParameter(f"bad cyclic factors {ns}")
     elems = list(iter_product(*(range(n) for n in ns)))
     index = {e: i for i, e in enumerate(elems)}
     mul = [[index[tuple((a + b) % n for a, b, n in zip(x, y, ns))] for y in elems]
@@ -191,105 +230,78 @@ def _build_product(kind, params) -> GroupSpec:
     return GroupSpec(kind, params, mul, elems)
 
 
-def _build_elementary(params) -> GroupSpec:
-    if not is_prime(params[0]):
-        raise InvalidParameter(f"{params[0]} is not prime")
-    return _build_product("elementary", params)
-
-
 def _heisenberg_triple_mul(a, b, p):
     return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[1] * b[0]) % p)
 
 
 def _build_heisenberg(p: int) -> GroupSpec:
-    if not is_prime(p) or p == 2:
-        raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
     elems = list(iter_product(range(p), repeat=3))
     index = {e: i for i, e in enumerate(elems)}
     mul = [[index[_heisenberg_triple_mul(x, y, p)] for y in elems] for x in elems]
     return GroupSpec("heisenberg", (p,), mul, elems, check=(p ** 3 <= 200))
 
 
-def _build_dihedral(order: int) -> GroupSpec:
-    if order < 2 or order % 2:
-        raise InvalidParameter(f"dihedral order must be even, got {order}")
-    n = order // 2
-    elems = [(i, j) for j in range(2) for i in range(n)]
+def _build_two_part(kind: str, order: int, square: int) -> GroupSpec:
+    """x of order r = order/2 and y with y x y^-1 = x^-1 and y^2 = x^square:
+    the dihedral group for square = 0, the dicyclic one for square = r/2.
+    The label (i, j) is x^i y^j."""
+    r = order // 2
+    elems = [(i, j) for j in range(2) for i in range(r)]
     index = {e: i for i, e in enumerate(elems)}
-    mul = []
-    for (i, j) in elems:
-        row = []
-        for (k, l) in elems:
-            row.append(index[((i + (-k if j else k)) % n, (j + l) % 2)])
-        mul.append(row)
-    return GroupSpec("dihedral", (order,), mul, elems)
-
-
-def _build_dicyclic(order: int) -> GroupSpec:
-    if order < 4 or order % 4:
-        raise InvalidParameter(f"dicyclic order must be divisible by 4, got {order}")
-    n = order // 4
-    elems = [(i, j) for j in range(2) for i in range(2 * n)]
-    index = {e: i for i, e in enumerate(elems)}
-    mul = []
-    for (i, j) in elems:
-        row = []
-        for (k, l) in elems:
-            m = i + (-k if j else k)
-            jj = j + l
-            if jj == 2:
-                m += n
-                jj = 0
-            row.append(index[(m % (2 * n), jj)])
-        mul.append(row)
-    return GroupSpec("dicyclic", (order,), mul, elems)
+    mul = [[index[((i + (-k if j else k) + (square if j + l == 2 else 0)) % r, (j + l) % 2)]
+            for (k, l) in elems] for (i, j) in elems]
+    return GroupSpec(kind, (order,), mul, elems)
 
 
 # -- exact routes on flat coefficient vectors ----------------------------
 
 
-def _circulant_route(g):
-    n = g.order
+def _circulant_route(params):
+    n = params[0]
     return "circulant", lambda c: circulant_det(c, n)
 
 
-def _abelian_route(g):
+def _abelian_route(kind, params):
     # character products need (Z_p)^n; other products of cyclics use Cayley
+    g = _cached_group(kind, params)
     if g.elementary_prime() is None:
         return "cayley", lambda c: group_determinant(GroupRingElt(g, c))
     return "character-product", lambda c: abelian_measure(GroupRingElt(g, c))
 
 
-def _heisenberg_route(g):
-    p = g.params[0]
+def _heisenberg_route(params):
+    p = params[0]
     if p == 3:
         return "factorized", lambda c: measure_h3(c)
     return "factorized", lambda c: heisenberg_measure(HeisenbergPoly.from_flat(p, c)).m
 
 
-def _dihedral_route(g):
-    n = g.order // 2
+def _dihedral_route(params):
+    n = params[0] // 2
     return "two-part", lambda c: dihedral_measure(c[:n], c[n:], n)
 
 
-def _dicyclic_route(g):
-    n = g.order // 4
+def _dicyclic_route(params):
+    n = params[0] // 4
     return "two-part", lambda c: dicyclic_measure(c[:2 * n], c[2 * n:], n)
 
 
 KINDS = {
-    "cyclic": GroupKind(("n",), lambda ps: (ps[0],), partial(_build_product, "cyclic"),
-                        _circulant_route, additive=True),
-    "elementary": GroupKind(("p", "n"), lambda ps: (ps[0],) * ps[1], _build_elementary,
-                            _abelian_route, additive=True),
-    "heisenberg": GroupKind(("p",), lambda ps: (ps[0],) * 3,
+    "cyclic": GroupKind(("n",), lambda ps: (ps[0],), lambda ps: _check_factors((ps[0],)),
+                        partial(_build_product, "cyclic"), _circulant_route, additive=True),
+    "elementary": GroupKind(("p", "n"), lambda ps: (ps[0],) * ps[1], _check_elementary,
+                            partial(_build_product, "elementary"),
+                            partial(_abelian_route, "elementary"), additive=True),
+    "heisenberg": GroupKind(("p",), lambda ps: (ps[0],) * 3, _check_heisenberg,
                             lambda ps: _build_heisenberg(ps[0]), _heisenberg_route),
-    "dihedral": GroupKind(("order",), lambda ps: (ps[0] // 2, 2),
-                          lambda ps: _build_dihedral(ps[0]), _dihedral_route),
-    "dicyclic": GroupKind(("order",), lambda ps: (ps[0] // 2, 2),
-                          lambda ps: _build_dicyclic(ps[0]), _dicyclic_route),
-    "product": GroupKind(("orders",), tuple, partial(_build_product, "product"),
-                         _abelian_route, additive=True, variadic=True),
+    "dihedral": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dihedral,
+                          lambda ps: _build_two_part("dihedral", ps[0], 0), _dihedral_route),
+    "dicyclic": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dicyclic,
+                          lambda ps: _build_two_part("dicyclic", ps[0], ps[0] // 4),
+                          _dicyclic_route),
+    "product": GroupKind(("orders",), tuple, lambda ps: _check_factors(tuple(ps)),
+                         partial(_build_product, "product"),
+                         partial(_abelian_route, "product"), additive=True, variadic=True),
 }
 
 
@@ -602,11 +614,12 @@ def poly_from_json(text: str) -> PolyInput:
         elif not isinstance(coef, int):
             raise ParseError(f"bad coefficient token {coef!r}")
         terms.append((tuple(exps), coef))
-    # validate exponent ranges via the group itself
-    pin = PolyInput(kind, params, terms)
-    grp = pin.group()
-    pin.terms = [(grp.reduce_exps(e), c) for e, c in terms]
-    return pin
+    # the kind's parameter check, then exponents reduced by its moduli;
+    # the group itself is built only by routes that need its table
+    spec.check(params)
+    moduli = spec.moduli(params)
+    return PolyInput(kind, params,
+                     [(tuple(e % n for e, n in zip(exps, moduli)), c) for exps, c in terms])
 
 
 def poly_to_json(kind: str, params, terms) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product as iter_product
 from typing import TYPE_CHECKING, Optional
 
 from .cyclotomic import CycInt, eval_bivariate_at_roots
@@ -57,7 +58,7 @@ def abelian_measure(f: GroupRingElt) -> int:
             f"character products need all factors equal to one prime, got {g.moduli}")
     exps = g.element_exps
     vals = []
-    for char in _all_tuples(p, len(g.moduli)):
+    for char in iter_product(range(p), repeat=len(g.moduli)):
         acc = [0] * p
         for idx, c in enumerate(f.coeffs):
             if c:
@@ -65,15 +66,6 @@ def abelian_measure(f: GroupRingElt) -> int:
                 acc[e] += c
         vals.append(CycInt.from_exponent_vector(p, acc))
     return certified_int_product(vals)
-
-
-def _all_tuples(p, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _all_tuples(p, n - 1):
-        for j in range(p):
-            yield rest + (j,)
 
 
 # -- Heisenberg factorization --------------------------------------------
@@ -116,20 +108,27 @@ def heisenberg_phi_matrix(f: HeisenbergPoly, j: int):
     return [[evals[(r - c) % p][c] for c in range(p)] for r in range(p)]
 
 
+def _factorization(p: int, m1: int, block: CycInt) -> HeisenbergFactorization:
+    """M = m1 * m2**p from the block determinant D(w).  F has integer
+    coefficients, so D(w^j) = D(w).galois(j) and their product m2 is the
+    norm of D(w), certified to be a rational integer."""
+    m2 = block.norm()
+    return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p,
+                                   d_values=tuple(block.galois(j) for j in range(1, p)))
+
+
 def heisenberg_measure(f: HeisenbergPoly, want_c0: bool = False) -> HeisenbergFactorization:
     """Exact determinant of F over the order-p^3 Heisenberg group.
 
     m1 is the abelian part (the determinant of F(x, y, 1) over Z_p x Z_p);
-    m2 multiplies the p - 1 nonabelian p x p block determinants D(w^j)
-    and certifies the product is a rational integer.  The full value is
-    m1 * m2**p.  Each block determinant is computed independently.
+    m2 is the product of the p - 1 nonabelian p x p block determinants
+    D(w^j), certified to be a rational integer.  The full value is
+    m1 * m2**p.  Only D(w) is eliminated; the other blocks are its
+    Galois conjugates and m2 is its norm.
     """
     p = f.p
     m1 = char_product_2d(f.collapse_z(), p)
-    d_values = tuple(det_bareiss(heisenberg_phi_matrix(f, j)) for j in range(1, p))
-    m2 = certified_int_product(d_values)
-    fac = HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p,
-                                  d_values=d_values)
+    fac = _factorization(p, m1, det_bareiss(heisenberg_phi_matrix(f, 1)))
     if want_c0:
         fac.fourier_coeffs = heisenberg_fourier_coeffs(f)
     return fac
@@ -155,32 +154,22 @@ def heisenberg_fourier_coeffs(f: HeisenbergPoly) -> tuple:
 def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorization:
     """Shortcut for binomial-in-x polynomials F = f0(y,z) + x^k fk(y,z).
 
-    For such F each block determinant collapses to a two-term sum of
-    products, D(w^j) = prod_i f0(w^i, w^j) + prod_i fk(w^i, w^j), and the
+    For such F the block determinant collapses to a two-term sum of
+    products, D(w) = prod_i f0(w^i, w) + prod_i fk(w^i, w), and the
     abelian part to prod_i (f0(w^i,1)^p + fk(w^i,1)^p).  Requires
     1 <= k < p.  Results agree with the generic route (tested), just
-    without the p x p determinants.
+    without the p x p determinant.
     """
     if not 1 <= k < p:
         raise InvalidParameter(f"binomial exponent k={k} must be in 1..{p - 1}")
     f0 = _as_grid(f0, p)
     fk = _as_grid(fk, p)
-    m1_terms = []
-    for i in range(p):
-        a = eval_bivariate_at_roots(f0, i, 0, p)
-        b = eval_bivariate_at_roots(fk, i, 0, p)
-        m1_terms.append(a ** p + b ** p)
-    m1 = certified_int_product(m1_terms)
-    d_values = []
-    for j in range(1, p):
-        prod0 = reduce(lambda a, b: a * b,
-                       (eval_bivariate_at_roots(f0, i, j, p) for i in range(p)))
-        prodk = reduce(lambda a, b: a * b,
-                       (eval_bivariate_at_roots(fk, i, j, p) for i in range(p)))
-        d_values.append(prod0 + prodk)
-    m2 = certified_int_product(d_values)
-    return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p,
-                                   d_values=tuple(d_values))
+    m1 = certified_int_product(eval_bivariate_at_roots(f0, i, 0, p) ** p
+                               + eval_bivariate_at_roots(fk, i, 0, p) ** p for i in range(p))
+    prod0, prodk = (reduce(lambda a, b: a * b,
+                           (eval_bivariate_at_roots(g, i, 1, p) for i in range(p)))
+                    for g in (f0, fk))
+    return _factorization(p, m1, prod0 + prodk)
 
 
 def _as_grid(coeffs2d, p):

@@ -150,7 +150,7 @@ def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:
     """Exhaustively evaluate the shard with the leading coefficient fixed."""
     kind = kind_of(cfg.kind)
     order = kind.order(cfg.params)
-    _, ev = kind.route(build_group(cfg.kind, *cfg.params))
+    _, ev = kind.route(cfg.params)
     col = _Collector(cfg)
     h = cfg.height
     span = range(-h, h + 1)
@@ -180,7 +180,7 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
         for c0 in range(-h, h + 1):
             total.merge(run_shard(cfg, c0))
     elif cfg.mode == "random":
-        _, ev = kind.route(build_group(cfg.kind, *cfg.params))
+        _, ev = kind.route(cfg.params)
         for t in range(cfg.trials):
             rng = random.Random(f"{cfg.seed}:{t}")
             coeffs = tuple(rng.randint(-h, h) for _ in range(order))

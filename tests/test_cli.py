@@ -7,12 +7,14 @@ message naming the offending token.
 
 import json
 import math
+import random
 from itertools import product
 
 import pytest
 
 from groupdet import CycInt, GroupRingElt, NotInteger, group_determinant, product_group
 from groupdet.cli import main
+from groupdet.groups import _cached_group, poly_from_json
 
 LEHMER_LOG = 0.16235761200773813943
 
@@ -332,6 +334,60 @@ def test_bad_group_token(capsys):
                            "--height", "1")
     assert code == 2
     assert "frobnitz" in err
+
+
+@pytest.mark.parametrize("token", ["elementary:3", "heisenberg:3,4", "dihedral:8,2"])
+def test_group_token_parameter_count_checked(capsys, token):
+    code, out, err = run_cli(capsys, "search", "--group", token, "--height", "1")
+    assert code == 2
+    assert out == ""
+    assert repr(token) in err
+
+
+@pytest.mark.parametrize("token,message", [
+    ("cyclic:0", "bad cyclic factors (0,)"),
+    ("elementary:4,2", "4 is not prime"),
+    ("product:2,0", "bad cyclic factors (2, 0)"),
+    ("heisenberg:4", "Heisenberg group needs an odd prime, got 4"),
+    ("dihedral:7", "dihedral order must be even, got 7"),
+    ("dicyclic:6", "dicyclic order must be divisible by 4, got 6"),
+])
+def test_search_bad_group_parameters_exit_2(capsys, token, message):
+    code, out, err = run_cli(capsys, "search", "--group", token, "--height", "1",
+                             "--trials", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_compute_bad_heisenberg_prime_names_the_group(capsys, tmp_path):
+    path = write_poly(tmp_path, "h4.json", {"kind": "heisenberg", "p": 4},
+                      [{"exps": [0, 0, 0], "coef": 1}])
+    code, out, err = run_cli(capsys, "compute", path)
+    assert (code, out, err) == (2, "", "error: Heisenberg group needs an odd prime, got 4\n")
+
+
+def test_heisenberg_compute_builds_no_cayley_table(capsys, tmp_path):
+    rng = random.Random(11)
+    terms = [{"exps": list(e), "coef": rng.randint(-2, 2)} for e in product(range(11), repeat=3)]
+    path = write_poly(tmp_path, "h11.json", {"kind": "heisenberg", "p": 11}, terms)
+    _cached_group.cache_clear()
+    poly_from_json(open(path).read())
+    code, rep = run_report(capsys, "compute", path)
+    assert code == 0
+    assert rep["results"]["group"] == {"kind": "heisenberg", "order": 1331, "p": 11}
+    assert _cached_group.cache_info().currsize == 0
+
+
+def test_sharp_heisenberg_p13(capsys):
+    code, rep = run_report(capsys, "sharp", "--family", "heisenberg", "--p", "13")
+    assert code == 0
+    assert rep["results"]["actual_valuation"] == 172
+    assert rep["results"]["exact"] is True
+
+
+def test_verify_congruence_p13(capsys):
+    code, rep = run_report(capsys, "verify", "congruence", "--p", "13", "--trials", "3")
+    assert code == 0
+    assert rep["results"]["all_hold"] is True
 
 
 def test_bad_measure_expression(capsys):

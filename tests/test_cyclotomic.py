@@ -162,6 +162,30 @@ def test_divexact_rejects_inexact():
         (w + CycInt.one(p)).divexact(two)
 
 
+def test_divexact_with_a_warm_divisor_still_certifies(monkeypatch):
+    p = 5
+    rng = random.Random(10)
+    d = CycInt.from_int(p, 2) + CycInt.root(p)  # norm 11, not a unit
+    a = _random_elt(rng, p)
+    assert (a * d).divexact(d) == a
+    assert d.norm() == 11
+    zero = CycInt.zero(p)
+    assert zero.norm() == 0
+    # both divisors now carry their clearing data; recomputing it fails
+    def recompute(self):
+        raise RuntimeError("clearing data recomputed")
+
+    monkeypatch.setattr(CycInt, "conjugates_product", recompute)
+    b = _random_elt(rng, p)
+    assert (b * d).divexact(d) == b
+    with pytest.raises(InexactDivision):
+        (a * d + 1).divexact(d)
+    with pytest.raises(ZeroDivisionError):
+        a.divexact(zero)
+    with pytest.raises(ZeroDivisionError):
+        a.divexact(zero)
+
+
 def test_mixed_primes_rejected():
     with pytest.raises(PrimeMismatch):
         CycInt.root(3) + CycInt.root(5)

@@ -263,6 +263,29 @@ def test_json_errors_name_the_offender(bad, needle):
     assert needle in str(exc.value)
 
 
+BAD_PARAMS = [
+    ("cyclic", (0,), "bad cyclic factors (0,)"),
+    ("elementary", (4, 2), "4 is not prime"),
+    ("elementary", (3, 0), "bad cyclic factors ()"),
+    ("product", (2, 0), "bad cyclic factors (2, 0)"),
+    ("heisenberg", (4,), "Heisenberg group needs an odd prime, got 4"),
+    ("heisenberg", (2,), "Heisenberg group needs an odd prime, got 2"),
+    ("dihedral", (7,), "dihedral order must be even, got 7"),
+    ("dicyclic", (6,), "dicyclic order must be divisible by 4, got 6"),
+]
+
+
+@pytest.mark.parametrize("kind,params,message", BAD_PARAMS)
+def test_bad_parameters_fail_the_kind_check(kind, params, message):
+    with pytest.raises(InvalidParameter) as exc:
+        build_group(kind, *params)
+    assert str(exc.value) == message
+    if min(params) >= 1:  # expressible in the JSON format
+        with pytest.raises(InvalidParameter) as exc:
+            poly_from_json(poly_to_json(kind, params, []))
+        assert str(exc.value) == message
+
+
 def test_to_group_ring_consistency():
     f = HeisenbergPoly.from_terms(3, [((1, 1, 0), 2), ((0, 0, 2), -1)])
     elt = to_group_ring(f)

@@ -36,6 +36,7 @@ from groupdet import (
     negacirculant_det,
     to_group_ring,
 )
+from groupdet.exactdet import det_bareiss
 from groupdet.groups import KINDS, build_group, kind_of
 from groupdet.measures import certified_int_product
 from groupdet.verify import random_heisenberg_poly
@@ -62,7 +63,7 @@ SMALL_PARAMS = {
 def test_table_route_equals_oracle(kind, data):
     g = build_group(kind, *data.draw(SMALL_PARAMS[kind], label="params"))
     coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * g.order), label="coeffs")
-    _, exact = kind_of(kind).route(g)
+    _, exact = kind_of(kind).route(g.params)
     assert exact(coeffs) == group_determinant(GroupRingElt(g, coeffs))
 
 
@@ -158,6 +159,22 @@ def test_factorization_matches_oracle(p):
         fac = heisenberg_measure(f)
         assert fac.m == fac.m1 * fac.m2 ** p
         assert fac.m == group_determinant(to_group_ring(f))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_block_values_are_the_conjugates_of_one_block(p, data):
+    # the factorization eliminates only the block at w; each other block
+    # eliminated on its own must equal the matching Galois conjugate
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=p ** 3, max_size=p ** 3),
+                       label="coeffs")
+    f = HeisenbergPoly.from_flat(p, coeffs)
+    fac = heisenberg_measure(f)
+    blocks = [det_bareiss(heisenberg_phi_matrix(f, j)) for j in range(1, p)]
+    for j in range(1, p):
+        assert fac.d_values[j - 1] == blocks[j - 1]
+    assert fac.m2 == certified_int_product(blocks)
 
 
 def test_x_free_input_reduces_to_character_product():
