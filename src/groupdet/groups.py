@@ -241,16 +241,35 @@ def _build_heisenberg(p: int) -> GroupSpec:
     return GroupSpec("heisenberg", (p,), mul, elems, check=(p ** 3 <= 200))
 
 
-def _build_two_part(kind: str, order: int, square: int) -> GroupSpec:
-    """x of order r = order/2 and y with y x y^-1 = x^-1 and y^2 = x^square:
-    the dihedral group for square = 0, the dicyclic one for square = r/2.
-    The label (i, j) is x^i y^j."""
-    r = order // 2
-    elems = [(i, j) for j in range(2) for i in range(r)]
+def _build_dihedral(order: int) -> GroupSpec:
+    n = order // 2
+    elems = [(i, j) for j in range(2) for i in range(n)]
     index = {e: i for i, e in enumerate(elems)}
-    mul = [[index[((i + (-k if j else k) + (square if j + l == 2 else 0)) % r, (j + l) % 2)]
-            for (k, l) in elems] for (i, j) in elems]
-    return GroupSpec(kind, (order,), mul, elems)
+    mul = []
+    for (i, j) in elems:
+        row = []
+        for (k, l) in elems:
+            row.append(index[((i + (-k if j else k)) % n, (j + l) % 2)])
+        mul.append(row)
+    return GroupSpec("dihedral", (order,), mul, elems)
+
+
+def _build_dicyclic(order: int) -> GroupSpec:
+    n = order // 4
+    elems = [(i, j) for j in range(2) for i in range(2 * n)]
+    index = {e: i for i, e in enumerate(elems)}
+    mul = []
+    for (i, j) in elems:
+        row = []
+        for (k, l) in elems:
+            m = i + (-k if j else k)
+            jj = j + l
+            if jj == 2:
+                m += n
+                jj = 0
+            row.append(index[(m % (2 * n), jj)])
+        mul.append(row)
+    return GroupSpec("dicyclic", (order,), mul, elems)
 
 
 # -- exact routes on flat coefficient vectors ----------------------------
@@ -295,10 +314,9 @@ KINDS = {
     "heisenberg": GroupKind(("p",), lambda ps: (ps[0],) * 3, _check_heisenberg,
                             lambda ps: _build_heisenberg(ps[0]), _heisenberg_route),
     "dihedral": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dihedral,
-                          lambda ps: _build_two_part("dihedral", ps[0], 0), _dihedral_route),
+                          lambda ps: _build_dihedral(ps[0]), _dihedral_route),
     "dicyclic": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dicyclic,
-                          lambda ps: _build_two_part("dicyclic", ps[0], ps[0] // 4),
-                          _dicyclic_route),
+                          lambda ps: _build_dicyclic(ps[0]), _dicyclic_route),
     "product": GroupKind(("orders",), tuple, lambda ps: _check_factors(tuple(ps)),
                          partial(_build_product, "product"),
                          partial(_abelian_route, "product"), additive=True, variadic=True),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 from typing import TYPE_CHECKING, Optional
 
 from .cyclotomic import CycInt, eval_bivariate_at_roots
@@ -58,7 +57,7 @@ def abelian_measure(f: GroupRingElt) -> int:
             f"character products need all factors equal to one prime, got {g.moduli}")
     exps = g.element_exps
     vals = []
-    for char in iter_product(range(p), repeat=len(g.moduli)):
+    for char in _all_tuples(p, len(g.moduli)):
         acc = [0] * p
         for idx, c in enumerate(f.coeffs):
             if c:
@@ -66,6 +65,15 @@ def abelian_measure(f: GroupRingElt) -> int:
                 acc[e] += c
         vals.append(CycInt.from_exponent_vector(p, acc))
     return certified_int_product(vals)
+
+
+def _all_tuples(p, n):
+    if n == 0:
+        yield ()
+        return
+    for rest in _all_tuples(p, n - 1):
+        for j in range(p):
+            yield rest + (j,)
 
 
 # -- Heisenberg factorization --------------------------------------------
@@ -109,9 +117,16 @@ def heisenberg_phi_matrix(f: HeisenbergPoly, j: int):
 
 
 def _factorization(p: int, m1: int, block: CycInt) -> HeisenbergFactorization:
-    """M = m1 * m2**p from the block determinant D(w).  F has integer
-    coefficients, so D(w^j) = D(w).galois(j) and their product m2 is the
-    norm of D(w), certified to be a rational integer."""
+    """M = m1 * m2**p from the block determinant D(w).
+
+    F has integer coefficients, so D(w^j) = D(w).galois(j) and their
+    product m2 is the norm of D(w).  The norm of any element of Z[w] is a
+    rational integer, so its NotInteger check only guards the Z[w]
+    arithmetic, not the identity D(w^j) = D(w).galois(j).  At run time
+    that identity is checked only through M: ``compute`` tests the
+    congruence M = F(1,1,1)^(p^3) mod p^3, and
+    ``test_block_values_are_the_conjugates_of_one_block`` compares each
+    conjugate with its own elimination."""
     m2 = block.norm()
     return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p,
                                    d_values=tuple(block.galois(j) for j in range(1, p)))
@@ -122,9 +137,8 @@ def heisenberg_measure(f: HeisenbergPoly, want_c0: bool = False) -> HeisenbergFa
 
     m1 is the abelian part (the determinant of F(x, y, 1) over Z_p x Z_p);
     m2 is the product of the p - 1 nonabelian p x p block determinants
-    D(w^j), certified to be a rational integer.  The full value is
-    m1 * m2**p.  Only D(w) is eliminated; the other blocks are its
-    Galois conjugates and m2 is its norm.
+    D(w^j).  The full value is m1 * m2**p.  Only D(w) is eliminated; the
+    other blocks are its Galois conjugates and m2 is its norm.
     """
     p = f.p
     m1 = char_product_2d(f.collapse_z(), p)
@@ -164,11 +178,16 @@ def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorizati
         raise InvalidParameter(f"binomial exponent k={k} must be in 1..{p - 1}")
     f0 = _as_grid(f0, p)
     fk = _as_grid(fk, p)
-    m1 = certified_int_product(eval_bivariate_at_roots(f0, i, 0, p) ** p
-                               + eval_bivariate_at_roots(fk, i, 0, p) ** p for i in range(p))
-    prod0, prodk = (reduce(lambda a, b: a * b,
-                           (eval_bivariate_at_roots(g, i, 1, p) for i in range(p)))
-                    for g in (f0, fk))
+    m1_terms = []
+    for i in range(p):
+        a = eval_bivariate_at_roots(f0, i, 0, p)
+        b = eval_bivariate_at_roots(fk, i, 0, p)
+        m1_terms.append(a ** p + b ** p)
+    m1 = certified_int_product(m1_terms)
+    prod0 = reduce(lambda a, b: a * b,
+                   (eval_bivariate_at_roots(f0, i, 1, p) for i in range(p)))
+    prodk = reduce(lambda a, b: a * b,
+                   (eval_bivariate_at_roots(fk, i, 1, p) for i in range(p)))
     return _factorization(p, m1, prod0 + prodk)
 
 
