@@ -125,7 +125,7 @@ def _cmd_compute(ns):
             "all_checks_pass": ok,
         }
         return results, 0 if ok else 1, None, _digest(data)
-    m = exact(pin.to_group_ring().coeffs)
+    m = exact(kind.flat_coeffs(pin.params, pin.terms))
     q = kind.base_prime(pin.params)
     results = {
         "group": group,

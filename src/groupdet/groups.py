@@ -46,6 +46,8 @@ class GroupKind:
     ``moduli(params)`` is the modulus of each exponent in an element
     label, so its length is the label arity and its product the group
     order; ``additive`` kinds multiply labels by adding them componentwise.
+    ``element_exps`` runs through the labels with the last exponent
+    changing fastest, or the first for ``first_fastest`` kinds.
     ``check(params)`` raises InvalidParameter unless the parameters name a
     group of the kind, and runs before ``make(params)`` builds the group or
     ``exact(params)`` gives its exact determinant as (route name, function
@@ -59,6 +61,7 @@ class GroupKind:
     exact: Callable
     additive: bool = False
     variadic: bool = False
+    first_fastest: bool = False
 
     def build(self, params) -> "GroupSpec":
         self.check(params)
@@ -70,6 +73,19 @@ class GroupKind:
 
     def order(self, params) -> int:
         return math.prod(self.moduli(params))
+
+    def flat_coeffs(self, params, terms) -> list:
+        """The coefficient vector in ``element_exps`` order, found from the
+        labels alone, so the group is not built."""
+        moduli = self.moduli(params)
+        coeffs = [0] * math.prod(moduli)
+        for exps, c in terms:
+            digits = list(zip(exps, moduli))
+            idx = 0
+            for e, n in (reversed(digits) if self.first_fastest else digits):
+                idx = idx * n + e % n
+            coeffs[idx] += int(c)
+        return coeffs
 
     def base_prime(self, params) -> int:
         """Smallest prime factor of the order: the modulus of the search
@@ -282,7 +298,7 @@ def _circulant_route(params):
 
 def _abelian_route(kind, params):
     # character products need (Z_p)^n; other products of cyclics use Cayley
-    g = _cached_group(kind, params)
+    g = build_group(kind, *params)
     if g.elementary_prime() is None:
         return "cayley", lambda c: group_determinant(GroupRingElt(g, c))
     return "character-product", lambda c: abelian_measure(GroupRingElt(g, c))
@@ -314,9 +330,11 @@ KINDS = {
     "heisenberg": GroupKind(("p",), lambda ps: (ps[0],) * 3, _check_heisenberg,
                             lambda ps: _build_heisenberg(ps[0]), _heisenberg_route),
     "dihedral": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dihedral,
-                          lambda ps: _build_dihedral(ps[0]), _dihedral_route),
+                          lambda ps: _build_dihedral(ps[0]), _dihedral_route,
+                          first_fastest=True),
     "dicyclic": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dicyclic,
-                          lambda ps: _build_dicyclic(ps[0]), _dicyclic_route),
+                          lambda ps: _build_dicyclic(ps[0]), _dicyclic_route,
+                          first_fastest=True),
     "product": GroupKind(("orders",), tuple, lambda ps: _check_factors(tuple(ps)),
                          partial(_build_product, "product"),
                          partial(_abelian_route, "product"), additive=True, variadic=True),

@@ -377,6 +377,25 @@ def test_heisenberg_compute_builds_no_cayley_table(capsys, tmp_path):
     assert _cached_group.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("group,labels,route", [
+    ({"kind": "cyclic", "n": 24}, [(i,) for i in range(24)], "circulant"),
+    ({"kind": "dihedral", "order": 32}, list(product(range(16), range(2))), "two-part"),
+    ({"kind": "dicyclic", "order": 32}, list(product(range(16), range(2))), "two-part"),
+])
+def test_table_free_routes_build_no_cayley_table(capsys, tmp_path, group, labels, route):
+    rng = random.Random(3)
+    terms = [{"exps": list(e), "coef": rng.randint(-2, 2)} for e in labels]
+    path = write_poly(tmp_path, "f.json", group, terms)
+    _cached_group.cache_clear()
+    code, rep = run_report(capsys, "compute", path)
+    assert code == 0
+    assert rep["results"]["route"] == route
+    assert _cached_group.cache_info().currsize == 0
+    m = rep["results"]["m"]
+    code, rep = run_report(capsys, "oracle", path)
+    assert rep["results"]["m_oracle"] == m
+
+
 def test_sharp_heisenberg_p13(capsys):
     code, rep = run_report(capsys, "sharp", "--family", "heisenberg", "--p", "13")
     assert code == 0

@@ -24,6 +24,7 @@ from groupdet import (
     product_group,
     to_group_ring,
 )
+from groupdet.groups import KINDS
 
 
 # -- construction ----------------------------------------------------------
@@ -284,6 +285,21 @@ def test_bad_parameters_fail_the_kind_check(kind, params, message):
         with pytest.raises(InvalidParameter) as exc:
             poly_from_json(poly_to_json(kind, params, []))
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("cyclic", (6,)), ("elementary", (3, 2)), ("product", (2, 3, 4)),
+    ("heisenberg", (3,)), ("dihedral", (10,)), ("dicyclic", (12,)),
+])
+def test_flat_coeffs_follow_the_built_labels(kind, params):
+    rng = random.Random(7)
+    spec = KINDS[kind]
+    moduli = spec.moduli(params)
+    # unreduced and repeated labels
+    terms = [(tuple(rng.randrange(-n, 2 * n) for n in moduli), rng.randint(-3, 3))
+             for _ in range(3 * spec.order(params))]
+    want = GroupRingElt.from_terms(build_group(kind, *params), terms).coeffs
+    assert spec.flat_coeffs(params, terms) == want
 
 
 def test_to_group_ring_consistency():
