@@ -35,7 +35,14 @@ from .errors import (
     ZeroPolynomial,
     ZeroSlice,
 )
-from .groups import KINDS, describe_group, group_determinant, kind_of, poly_from_json
+from .groups import (
+    KINDS,
+    check_oracle_order,
+    describe_group,
+    group_determinant,
+    kind_of,
+    poly_from_json,
+)
 from .mahler import (
     LaurentPoly,
     d_infinity_h_measure,
@@ -141,6 +148,7 @@ def _cmd_compute(ns):
 def _cmd_oracle(ns):
     data = open(ns.poly, "rb").read()
     pin = poly_from_json(data.decode())
+    check_oracle_order(kind_of(pin.kind).order(pin.params))
     f = pin.to_group_ring()
     m_oracle = group_determinant(f)
     route, exact = kind_of(pin.kind).route(pin.params)
@@ -283,6 +291,10 @@ def _parse_group_token(token: str):
 
 def _cmd_search(ns):
     kind, params = _parse_group_token(ns.group)
+    if ns.trials is not None and ns.trials < 1:
+        raise InvalidParameter(f"--trials must be >= 1, got {ns.trials}")
+    if ns.max_values < 0:
+        raise InvalidParameter(f"--max-values must be >= 0, got {ns.max_values}")
     mode = "random" if ns.trials is not None else "exhaustive"
     cfg = SearchConfig(kind=kind, params=params, height=ns.height, mode=mode,
                        trials=ns.trials if ns.trials is not None else 10000,

@@ -10,16 +10,6 @@ from __future__ import annotations
 
 from .errors import InexactDivision
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional accelerator
-    mpz = None
-
-# Plain-int matrices at or above this size are converted to gmpy2 integers
-# when available: Bareiss entries grow to hundreds of digits and GMP wins
-# well before n = 30.
-_MPZ_MIN_DIM = 12
-
 
 class RingElement:
     """Marker base for entry types that provide their own exact division."""
@@ -61,10 +51,6 @@ def det_bareiss(rows):
         if len(r) != n:
             raise ValueError("matrix is not square")
 
-    use_mpz = mpz is not None and n >= _MPZ_MIN_DIM and isinstance(m[0][0], int)
-    if use_mpz:
-        m = [[mpz(x) for x in row] for row in m]
-
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -93,6 +79,4 @@ def det_bareiss(rows):
         prev = pivot
 
     d = m[n - 1][n - 1]
-    if sign < 0:
-        d = -d
-    return int(d) if use_mpz else d
+    return -d if sign < 0 else d

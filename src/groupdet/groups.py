@@ -5,8 +5,8 @@ of elements by exponent tuples for the generators of each supported kind
 (cyclic, products of cyclics, the order-p^3 Heisenberg group, dihedral,
 dicyclic).  The table route is the slow, obviously-correct oracle that the
 factorized determinant formulas are checked against.  ``KINDS`` maps each
-kind name to what the package knows about it: parameters, label moduli,
-builder and exact route.
+kind name to what the package knows about it: parameters, labels, label
+product and exact route.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Callable
 
@@ -45,27 +45,28 @@ class GroupKind:
     kind takes all its parameters as one list under its single key.
     ``moduli(params)`` is the modulus of each exponent in an element
     label, so its length is the label arity and its product the group
-    order; ``additive`` kinds multiply labels by adding them componentwise.
-    ``element_exps`` runs through the labels with the last exponent
-    changing fastest, or the first for ``first_fastest`` kinds.
-    ``check(params)`` raises InvalidParameter unless the parameters name a
-    group of the kind, and runs before ``make(params)`` builds the group or
-    ``exact(params)`` gives its exact determinant as (route name, function
-    of the flat coefficient vector in ``element_exps`` order).
+    order.  ``labels(params)`` lists the labels in flat order, the last
+    exponent changing fastest, or the first for ``first_fastest`` kinds;
+    ``mul(params, a, b)`` is the label of the product of the elements
+    labelled a and b.  ``check(params)`` raises InvalidParameter unless
+    the parameters name a group of the kind, and runs before the group is
+    built or ``exact(params)`` gives its exact determinant as (route
+    name, function of the flat coefficient vector in ``labels`` order).
     """
 
     keys: tuple
     moduli: Callable
     check: Callable
-    make: Callable
+    mul: Callable
     exact: Callable
-    additive: bool = False
     variadic: bool = False
     first_fastest: bool = False
 
-    def build(self, params) -> "GroupSpec":
-        self.check(params)
-        return self.make(params)
+    def labels(self, params) -> list:
+        ranges = [range(n) for n in self.moduli(params)]
+        if self.first_fastest:
+            return [e[::-1] for e in iter_product(*reversed(ranges))]
+        return list(iter_product(*ranges))
 
     def route(self, params):
         self.check(params)
@@ -75,16 +76,13 @@ class GroupKind:
         return math.prod(self.moduli(params))
 
     def flat_coeffs(self, params, terms) -> list:
-        """The coefficient vector in ``element_exps`` order, found from the
+        """The coefficient vector in ``labels`` order, found from the
         labels alone, so the group is not built."""
         moduli = self.moduli(params)
-        coeffs = [0] * math.prod(moduli)
+        index = {e: i for i, e in enumerate(self.labels(params))}
+        coeffs = [0] * len(index)
         for exps, c in terms:
-            digits = list(zip(exps, moduli))
-            idx = 0
-            for e, n in (reversed(digits) if self.first_fastest else digits):
-                idx = idx * n + e % n
-            coeffs[idx] += int(c)
+            coeffs[index[tuple(e % n for e, n in zip(exps, moduli))]] += int(c)
         return coeffs
 
     def base_prime(self, params) -> int:
@@ -125,7 +123,7 @@ class GroupSpec:
 
     __slots__ = ("kind", "params", "moduli", "order", "mul", "inv", "element_exps", "_index")
 
-    def __init__(self, kind, params, mul, element_exps, check=True):
+    def __init__(self, kind, params, mul, element_exps):
         self.kind = kind
         self.params = tuple(params)
         self.moduli = kind_of(kind).moduli(self.params)
@@ -135,8 +133,7 @@ class GroupSpec:
         self._index = {e: i for i, e in enumerate(self.element_exps)}
         if len(self._index) != self.order:
             raise InvalidParameter("element exponent labels are not distinct")
-        if check:
-            self._validate()
+        self._validate()
         inv = [None] * self.order
         for i in range(self.order):
             for j in range(self.order):
@@ -184,15 +181,6 @@ class GroupSpec:
         return all(self.mul[i][j] == self.mul[j][i]
                    for i in range(self.order) for j in range(i))
 
-    def elementary_prime(self):
-        """p when the group is (Z_p)^n with labels adding componentwise,
-        for a prime p; otherwise None."""
-        p = self.moduli[0]
-        if (kind_of(self.kind).additive and is_prime(p)
-                and all(n == p for n in self.moduli)):
-            return p
-        return None
-
 
 def describe_group(kind, params) -> dict:
     """The report's description of a group, without building it."""
@@ -229,63 +217,31 @@ def _check_dicyclic(ps) -> None:
     _require(ps[0] >= 4 and ps[0] % 4 == 0, f"dicyclic order must be divisible by 4, got {ps[0]}")
 
 
-# -- builders ----------------------------------------------------------
+# -- label products ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cached_group(kind, params) -> GroupSpec:
-    return kind_of(kind).build(params)
+def _add_labels(moduli, a, b):
+    return tuple((x + y) % n for x, y, n in zip(a, b, moduli))
 
 
-def _build_product(kind, params) -> GroupSpec:
-    ns = kind_of(kind).moduli(params)
-    elems = list(iter_product(*(range(n) for n in ns)))
-    index = {e: i for i, e in enumerate(elems)}
-    mul = [[index[tuple((a + b) % n for a, b, n in zip(x, y, ns))] for y in elems]
-           for x in elems]
-    return GroupSpec(kind, params, mul, elems)
-
-
-def _heisenberg_triple_mul(a, b, p):
+def _heisenberg_mul(ps, a, b):
+    p = ps[0]
     return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[1] * b[0]) % p)
 
 
-def _build_heisenberg(p: int) -> GroupSpec:
-    elems = list(iter_product(range(p), repeat=3))
-    index = {e: i for i, e in enumerate(elems)}
-    mul = [[index[_heisenberg_triple_mul(x, y, p)] for y in elems] for x in elems]
-    return GroupSpec("heisenberg", (p,), mul, elems, check=(p ** 3 <= 200))
+def _dihedral_mul(ps, a, b):
+    # (i, j) is x^i y^j with y x^k = x^-k y and y^2 = 1
+    n = ps[0] // 2
+    return ((a[0] - b[0] if a[1] else a[0] + b[0]) % n, (a[1] + b[1]) % 2)
 
 
-def _build_dihedral(order: int) -> GroupSpec:
-    n = order // 2
-    elems = [(i, j) for j in range(2) for i in range(n)]
-    index = {e: i for i, e in enumerate(elems)}
-    mul = []
-    for (i, j) in elems:
-        row = []
-        for (k, l) in elems:
-            row.append(index[((i + (-k if j else k)) % n, (j + l) % 2)])
-        mul.append(row)
-    return GroupSpec("dihedral", (order,), mul, elems)
-
-
-def _build_dicyclic(order: int) -> GroupSpec:
-    n = order // 4
-    elems = [(i, j) for j in range(2) for i in range(2 * n)]
-    index = {e: i for i, e in enumerate(elems)}
-    mul = []
-    for (i, j) in elems:
-        row = []
-        for (k, l) in elems:
-            m = i + (-k if j else k)
-            jj = j + l
-            if jj == 2:
-                m += n
-                jj = 0
-            row.append(index[(m % (2 * n), jj)])
-        mul.append(row)
-    return GroupSpec("dicyclic", (order,), mul, elems)
+def _dicyclic_mul(ps, a, b):
+    # (i, j) is x^i y^j with y x^k = x^-k y and y^2 = x^n
+    n = ps[0] // 4
+    i = a[0] - b[0] if a[1] else a[0] + b[0]
+    if a[1] and b[1]:
+        i += n
+    return (i % (2 * n), (a[1] + b[1]) % 2)
 
 
 # -- exact routes on flat coefficient vectors ----------------------------
@@ -296,12 +252,17 @@ def _circulant_route(params):
     return "circulant", lambda c: circulant_det(c, n)
 
 
-def _abelian_route(kind, params):
+def _character_route(moduli):
+    return "character-product", lambda c: abelian_measure(moduli, c)
+
+
+def _product_route(params):
     # character products need (Z_p)^n; other products of cyclics use Cayley
-    g = build_group(kind, *params)
-    if g.elementary_prime() is None:
-        return "cayley", lambda c: group_determinant(GroupRingElt(g, c))
-    return "character-product", lambda c: abelian_measure(GroupRingElt(g, c))
+    if is_prime(params[0]) and all(n == params[0] for n in params):
+        return _character_route(params)
+    check_oracle_order(math.prod(params))
+    g = build_group("product", *params)
+    return "cayley", lambda c: group_determinant(GroupRingElt(g, c))
 
 
 def _heisenberg_route(params):
@@ -323,22 +284,30 @@ def _dicyclic_route(params):
 
 KINDS = {
     "cyclic": GroupKind(("n",), lambda ps: (ps[0],), lambda ps: _check_factors((ps[0],)),
-                        partial(_build_product, "cyclic"), _circulant_route, additive=True),
+                        _add_labels, _circulant_route),
     "elementary": GroupKind(("p", "n"), lambda ps: (ps[0],) * ps[1], _check_elementary,
-                            partial(_build_product, "elementary"),
-                            partial(_abelian_route, "elementary"), additive=True),
+                            lambda ps, a, b: _add_labels((ps[0],) * ps[1], a, b),
+                            lambda ps: _character_route((ps[0],) * ps[1])),
     "heisenberg": GroupKind(("p",), lambda ps: (ps[0],) * 3, _check_heisenberg,
-                            lambda ps: _build_heisenberg(ps[0]), _heisenberg_route),
+                            _heisenberg_mul, _heisenberg_route),
     "dihedral": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dihedral,
-                          lambda ps: _build_dihedral(ps[0]), _dihedral_route,
-                          first_fastest=True),
+                          _dihedral_mul, _dihedral_route, first_fastest=True),
     "dicyclic": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dicyclic,
-                          lambda ps: _build_dicyclic(ps[0]), _dicyclic_route,
-                          first_fastest=True),
+                          _dicyclic_mul, _dicyclic_route, first_fastest=True),
     "product": GroupKind(("orders",), tuple, lambda ps: _check_factors(tuple(ps)),
-                         partial(_build_product, "product"),
-                         partial(_abelian_route, "product"), additive=True, variadic=True),
+                         _add_labels, _product_route, variadic=True),
 }
+
+
+@lru_cache(maxsize=None)
+def _cached_group(kind, params) -> GroupSpec:
+    # the one builder: every kind's table is its label product on its labels
+    spec = kind_of(kind)
+    spec.check(params)
+    labels = spec.labels(params)
+    index = {e: i for i, e in enumerate(labels)}
+    mul = [[index[spec.mul(params, a, b)] for b in labels] for a in labels]
+    return GroupSpec(kind, params, mul, labels)
 
 
 def build_group(kind: str, *params) -> GroupSpec:
@@ -436,12 +405,16 @@ def cayley_matrix(f: GroupRingElt):
     return [[c[g.mul[i][g.inv[j]]] for j in range(g.order)] for i in range(g.order)]
 
 
+def check_oracle_order(order: int, max_order: int = MAX_ORACLE_ORDER) -> None:
+    """InvalidParameter if a Cayley determinant of this order is over the
+    cap; callers check before they build the table."""
+    if order > max_order:
+        raise InvalidParameter(f"oracle path is capped at order {max_order}; got {order}")
+
+
 def group_determinant(f: GroupRingElt, max_order: int = MAX_ORACLE_ORDER) -> int:
     """Exact determinant of the Cayley matrix (the definition, un-factored)."""
-    if f.group.order > max_order:
-        raise InvalidParameter(
-            f"oracle path is capped at order {max_order}; "
-            f"got {f.group.order}")
+    check_oracle_order(f.group.order, max_order)
     return det_bareiss(cayley_matrix(f))
 
 
@@ -540,7 +513,7 @@ def heisenberg_normal_form(terms, p: int) -> HeisenbergPoly:
                 step = (0, e % p, 0)
             else:
                 step = (0, 0, e % p)
-            triple = _heisenberg_triple_mul(triple, step, p)
+            triple = _heisenberg_mul((p,), triple, step)
         out.add_term(triple[0], triple[1], triple[2], int(c))
     return out
 

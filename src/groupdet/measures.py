@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from typing import TYPE_CHECKING, Optional
 
-from .cyclotomic import CycInt, eval_bivariate_at_roots
+from .cyclotomic import CycInt, eval_bivariate_at_roots, is_prime
 from .errors import InvalidParameter, NotInteger
 from .exactdet import det_bareiss
 from .polyring import IntPoly
 
 if TYPE_CHECKING:  # groups imports this module for its exact routes
-    from .groups import GroupRingElt, HeisenbergPoly
+    from .groups import HeisenbergPoly
 
 
 def certified_int_product(values) -> int:
@@ -43,37 +44,30 @@ def char_product_2d(coeffs2d, p: int) -> int:
     return certified_int_product(vals)
 
 
-def abelian_measure(f: GroupRingElt) -> int:
-    """Group determinant of f over a product of cyclic p-groups, computed
-    as the product of character values, certified integral.
+def abelian_measure(moduli, coeffs) -> int:
+    """Group determinant over the product of cyclic groups with these
+    moduli, computed as the product of character values, certified
+    integral.  ``coeffs`` follow the labels in ``itertools.product``
+    order (last exponent fastest), as ``GroupKind.labels`` lists them.
 
     Requires every factor of the group to be the same prime p (this is
     the only abelian shape the rest of the package needs exactly).
     """
-    g = f.group
-    p = g.elementary_prime()
-    if p is None:
+    p = moduli[0]
+    if not (is_prime(p) and all(n == p for n in moduli)):
         raise InvalidParameter(
-            f"character products need all factors equal to one prime, got {g.moduli}")
-    exps = g.element_exps
+            f"character products need all factors equal to one prime, got {tuple(moduli)}")
+    labels = list(product(range(p), repeat=len(moduli)))
+    if len(coeffs) != len(labels):
+        raise InvalidParameter(f"need {len(labels)} coefficients, got {len(coeffs)}")
     vals = []
-    for char in _all_tuples(p, len(g.moduli)):
+    for char in labels:
         acc = [0] * p
-        for idx, c in enumerate(f.coeffs):
+        for label, c in zip(labels, coeffs):
             if c:
-                e = sum(j * m for j, m in zip(char, exps[idx])) % p
-                acc[e] += c
+                acc[sum(j * m for j, m in zip(char, label)) % p] += c
         vals.append(CycInt.from_exponent_vector(p, acc))
     return certified_int_product(vals)
-
-
-def _all_tuples(p, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _all_tuples(p, n - 1):
-        for j in range(p):
-            yield rest + (j,)
 
 
 # -- Heisenberg factorization --------------------------------------------

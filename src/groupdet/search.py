@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, GroupDetError, InvalidParameter
-from .groups import build_group, kind_of
+from .groups import kind_of
 from .verify import achieve_construction, is_power_residue
 
 DEFAULT_BUDGET = 100_000_000
@@ -142,8 +142,8 @@ class _Collector:
 
 
 def _witness_terms(cfg: SearchConfig, coeffs) -> list:
-    group = build_group(cfg.kind, *cfg.params)
-    return [(group.element_exps[i], c) for i, c in enumerate(coeffs) if c]
+    labels = kind_of(cfg.kind).labels(cfg.params)
+    return [(labels[i], c) for i, c in enumerate(coeffs) if c]
 
 
 def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:

@@ -27,6 +27,8 @@ from .polyring import pow_fold_cyclic
 
 def p_valuation(m: int, p: int):
     """Exponent of p in m (math.inf for m = 0)."""
+    if p < 2:
+        raise InvalidParameter(f"p-adic valuation needs p >= 2, got {p}")
     if m == 0:
         return math.inf
     m = abs(m)

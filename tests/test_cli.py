@@ -381,6 +381,8 @@ def test_heisenberg_compute_builds_no_cayley_table(capsys, tmp_path):
     ({"kind": "cyclic", "n": 24}, [(i,) for i in range(24)], "circulant"),
     ({"kind": "dihedral", "order": 32}, list(product(range(16), range(2))), "two-part"),
     ({"kind": "dicyclic", "order": 32}, list(product(range(16), range(2))), "two-part"),
+    ({"kind": "elementary", "p": 3, "n": 2}, list(product(range(3), repeat=2)),
+     "character-product"),
 ])
 def test_table_free_routes_build_no_cayley_table(capsys, tmp_path, group, labels, route):
     rng = random.Random(3)
@@ -394,6 +396,50 @@ def test_table_free_routes_build_no_cayley_table(capsys, tmp_path, group, labels
     m = rep["results"]["m"]
     code, rep = run_report(capsys, "oracle", path)
     assert rep["results"]["m_oracle"] == m
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "heisenberg:3", "--height", "2", "--trials", "200", "--seed", "5"),
+    ("--group", "dihedral:8", "--height", "1"),
+    ("--group", "cyclic:5", "--height", "1"),
+])
+def test_search_builds_no_cayley_table(capsys, argv):
+    _cached_group.cache_clear()
+    code, rep = run_report(capsys, "search", *argv)
+    assert code == 0
+    assert rep["results"]["witness"]
+    assert _cached_group.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("cmd", ["compute", "oracle"])
+def test_oracle_cap_checked_before_building_the_table(capsys, tmp_path, cmd):
+    path = write_poly(tmp_path, "big.json", {"kind": "product", "orders": [2, 400]},
+                      [{"exps": [1, 3], "coef": 2}, {"exps": [0, 0], "coef": 1}])
+    _cached_group.cache_clear()
+    code, out, err = run_cli(capsys, cmd, path)
+    assert (code, out, err) == (2, "", "error: oracle path is capped at order 300; got 800\n")
+    assert _cached_group.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("group,exps", [
+    ({"kind": "cyclic", "n": 1}, [0]),
+    ({"kind": "product", "orders": [1, 1]}, [0, 0]),
+])
+def test_compute_order_one_group_exits_2(capsys, tmp_path, group, exps):
+    path = write_poly(tmp_path, "one.json", group, [{"exps": exps, "coef": 6}])
+    code, out, err = run_cli(capsys, "compute", path)
+    assert (code, out, err) == (2, "", "error: p-adic valuation needs p >= 2, got 1\n")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--trials", "-3"), "--trials must be >= 1, got -3"),
+    (("--trials", "0"), "--trials must be >= 1, got 0"),
+    (("--max-values", "-1"), "--max-values must be >= 0, got -1"),
+])
+def test_search_rejects_out_of_range_flags(capsys, flags, message):
+    code, out, err = run_cli(capsys, "search", "--group", "cyclic:3", "--height", "1",
+                             *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_sharp_heisenberg_p13(capsys):

@@ -74,7 +74,7 @@ def test_cyclic_three_simple_value():
     g = cyclic_group(3)
     f = GroupRingElt.from_terms(g, [((0,), 1), ((1,), 1)])  # 1 + x
     # (1+1)(1+w)(1+w^2) = 2 * (w^3 + ... ) = 2
-    assert abelian_measure(f) == 2
+    assert abelian_measure(g.moduli, f.coeffs) == 2
     assert group_determinant(f) == 2
 
 
@@ -85,15 +85,19 @@ def test_abelian_measure_matches_oracle(g):
     for _ in range(30):
         f = GroupRingElt.from_terms(
             g, [(e, rng.randint(-5, 5)) for e in g.element_exps])
-        assert abelian_measure(f) == group_determinant(f)
+        assert abelian_measure(g.moduli, f.coeffs) == group_determinant(f)
 
 
 def test_abelian_measure_rejects_mixed_orders():
-    from groupdet import InvalidParameter, product_group
-    g = product_group((2, 3))
-    f = GroupRingElt.from_terms(g, [((0, 0), 1)])
+    from groupdet import InvalidParameter
     with pytest.raises(InvalidParameter):
-        abelian_measure(f)
+        abelian_measure((2, 3), [1, 0, 0, 0, 0, 0])
+
+
+def test_abelian_measure_rejects_a_short_coefficient_vector():
+    from groupdet import InvalidParameter
+    with pytest.raises(InvalidParameter):
+        abelian_measure((3, 3), [1] * 8)
 
 
 def test_circulant_matches_oracle_composite_order():
