@@ -20,8 +20,8 @@ from .errors import (
     ZeroPolynomial,
     ZeroSlice,
 )
-from .exactdet import det_bareiss
-from .cyclotomic import CycInt, eval_at_root, is_prime
+from .exactdet import det_bareiss, det_int, is_prime
+from .cyclotomic import CycInt, eval_at_root
 from .polyring import IntPoly
 from .groups import (
     GroupRingElt,

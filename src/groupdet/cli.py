@@ -12,7 +12,8 @@ deliberately the only nondeterministic field.
 Exit status: 0 when the command succeeds and every check it performs
 holds, 1 when a verification fails (or an internal certification fails),
 2 on input errors (bad flags, malformed JSON or polynomial expressions,
-out-of-range parameters), with a message naming the offending token.
+out-of-range parameters), with a message naming the offending token, and
+3 on any other exception, whose type and message go to stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import random
 import sys
 import time
 
-from .cyclotomic import is_prime
 from .errors import (
     BudgetExceeded,
     GroupDetError,
@@ -35,6 +35,7 @@ from .errors import (
     ZeroPolynomial,
     ZeroSlice,
 )
+from .exactdet import is_prime
 from .groups import (
     KINDS,
     check_oracle_order,
@@ -436,6 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # determinants pass 4,300 digits (the default str/int conversion cap)
+    # at p = 17 already; absent before 3.10.7, where there is no cap
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
@@ -451,6 +456,9 @@ def main(argv=None) -> int:
     except GroupDetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:  # a fault of the program, not a failed check
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     report = {"command": argv, "input_digest": digest}
     if seed is not None:
         report["seed"] = seed

@@ -17,21 +17,6 @@ from .errors import InexactDivision, InvalidParameter, NotInteger, PrimeMismatch
 from .exactdet import RingElement
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class CycInt(RingElement):
     """An element of Z[w] in canonical power-basis coordinates.
 

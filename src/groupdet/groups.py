@@ -20,9 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cyclotomic import is_prime
 from .errors import InvalidParameter, ParseError
-from .exactdet import det_bareiss
+from .exactdet import det_int, is_prime
 from .measures import (
     abelian_measure,
     circulant_det,
@@ -159,8 +158,9 @@ class GroupSpec:
                 and np.array_equal(np.sort(t, axis=0), np.tile(ref[:, None], (1, n)))):
             raise InvalidParameter("multiplication table is not a Latin square")
         if n <= 200:
-            # (ab)c == a(bc) for all triples, fully vectorized.
-            if not np.array_equal(t[t], t[:, t]):
+            # (ab)c == a(bc) for all triples, one a at a time: two order^2
+            # slices rather than two order^3 arrays (16 MB at order 125)
+            if not all(np.array_equal(t[t[a]], t[a][t]) for a in range(n)):
                 raise InvalidParameter("multiplication table is not associative")
 
     def index_of(self, exps) -> int:
@@ -415,7 +415,7 @@ def check_oracle_order(order: int, max_order: int = MAX_ORACLE_ORDER) -> None:
 def group_determinant(f: GroupRingElt, max_order: int = MAX_ORACLE_ORDER) -> int:
     """Exact determinant of the Cayley matrix (the definition, un-factored)."""
     check_oracle_order(f.group.order, max_order)
-    return det_bareiss(cayley_matrix(f))
+    return det_int(cayley_matrix(f))
 
 
 # -- Heisenberg polynomials ---------------------------------------------

@@ -2,9 +2,11 @@
 
 Character products over abelian p-groups, the order-p^3 Heisenberg
 factorization M = M1 * M2^p with certified integrality of M2, the
-binomial two-product shortcut, and circulant/negacirculant closed forms
-for dihedral and dicyclic groups.  Every path returns exact integers and
-is cross-checked against the Cayley-matrix oracle in the test suite.
+binomial two-product shortcut, and the cyclic, dihedral and dicyclic
+routes, which reduce to circulant and negacirculant determinants and
+eliminate them with ``exactdet.det_int`` (Bareiss for small n, certified
+multimodular above).  Every path returns exact integers and is
+cross-checked against the Cayley-matrix oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from functools import reduce
 from itertools import product
 from typing import TYPE_CHECKING, Optional
 
-from .cyclotomic import CycInt, eval_bivariate_at_roots, is_prime
+from .cyclotomic import CycInt, eval_bivariate_at_roots
 from .errors import InvalidParameter, NotInteger
-from .exactdet import det_bareiss
+from .exactdet import det_bareiss, det_int, is_prime
 from .polyring import IntPoly
 
 if TYPE_CHECKING:  # groups imports this module for its exact routes
@@ -198,9 +200,10 @@ def _as_grid(coeffs2d, p):
 
 
 def circulant_det(h, n: int) -> int:
-    """Determinant of the n x n circulant with first column h."""
+    """Determinant of the n x n circulant with first column h, by
+    elimination (``det_int``)."""
     rows = [[h[(r - c) % n] for c in range(n)] for r in range(n)]
-    return det_bareiss(rows)
+    return det_int(rows)
 
 
 def negacirculant_det(h, n: int) -> int:
@@ -208,7 +211,7 @@ def negacirculant_det(h, n: int) -> int:
     modulo x^n + 1)."""
     rows = [[(-1 if r < c else 1) * h[(r - c) % n] for c in range(n)]
             for r in range(n)]
-    return det_bareiss(rows)
+    return det_int(rows)
 
 
 def _fold_correlation(f, n: int, signed: bool) -> list:

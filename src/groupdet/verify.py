@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cyclotomic import is_prime
 from .errors import InexactDivision, InvalidParameter, PreconditionViolated
+from .exactdet import is_prime
 from .groups import HeisenbergPoly
 from .measures import (
     HeisenbergFactorization,

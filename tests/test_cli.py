@@ -7,14 +7,19 @@ message naming the offending token.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import groupdet
 from groupdet import CycInt, GroupRingElt, NotInteger, group_determinant, product_group
 from groupdet.cli import main
-from groupdet.groups import _cached_group, poly_from_json
+from groupdet.groups import _cached_group, poly_from_json, poly_to_json
 
 LEHMER_LOG = 0.16235761200773813943
 
@@ -515,3 +520,116 @@ def test_failed_residue_certificate_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_unexpected_exception_exits_3(capsys, tmp_path, monkeypatch):
+    import groupdet.groups
+
+    def broken(h, n):
+        raise RuntimeError("route broke")
+
+    monkeypatch.setattr(groupdet.groups, "circulant_det", broken)
+    path = write_poly(tmp_path, "cyc.json", {"kind": "cyclic", "n": 3},
+                      [{"exps": [0], "coef": 2}, {"exps": [1], "coef": 1}])
+    code, out, err = run_cli(capsys, "compute", path)
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "error: RuntimeError: route broke"
+
+
+# -- big integers and the multimodular certificate ---------------------------
+
+
+@pytest.fixture
+def default_int_str_cap():
+    """Put back the interpreter's default 4,300-digit cap on int/str
+    conversion, which main lifts for the rest of the process."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_compute_prints_an_m_past_the_4300_digit_cap(capsys, tmp_path, default_int_str_cap):
+    rng = random.Random(17)
+    terms = [{"exps": list(e), "coef": c} for e in product(range(17), repeat=3)
+             if (c := rng.randint(-1, 1))]
+    path = write_poly(tmp_path, "h17.json", {"kind": "heisenberg", "p": 17}, terms)
+    code, rep = run_report(capsys, "compute", path)
+    assert code == 0
+    res = rep["results"]
+    assert res["all_checks_pass"] is True
+    assert len(res["m"].lstrip("-")) > 4300
+    assert int(res["m"]) == int(res["m1"]) * int(res["m2"]) ** 17
+
+
+def test_compute_reads_a_5000_digit_coefficient(capsys, tmp_path, default_int_str_cap):
+    rng = random.Random(5000)
+    a_digits = str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(4999))
+    b_digits = str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(4998))
+    path = write_poly(tmp_path, "cyc.json", {"kind": "cyclic", "n": 2},
+                      [{"exps": [0], "coef": a_digits}, {"exps": [1], "coef": b_digits}])
+    code, rep = run_report(capsys, "compute", path)
+    assert code == 0
+    a, b = int(a_digits), int(b_digits)
+    assert rep["results"]["m"] == str(a * a - b * b)
+    text = Path(path).read_text()
+    pin = poly_from_json(text)
+    assert json.loads(poly_to_json(pin.kind, pin.params, pin.terms)) == json.loads(text)
+
+
+def _sabotage_check_prime(exactdet):
+    """Make the last residue of every batch, so the check prime's, wrong."""
+    original = exactdet._det_mod
+
+    def sabotaged(a, primes):
+        res = original(a, primes)
+        return res[:-1] + [(res[-1] + 1) % primes[-1]]
+
+    return sabotaged
+
+
+def _oracle_input(tmp_path):
+    rng = random.Random(40)
+    return write_poly(tmp_path, "c40.json", {"kind": "cyclic", "n": 40},
+                      [{"exps": [i], "coef": rng.randint(-2, 2)} for i in range(40)])
+
+
+def test_oracle_exits_1_when_the_check_prime_disagrees(capsys, tmp_path, monkeypatch):
+    from groupdet import exactdet
+
+    path = _oracle_input(tmp_path)
+    code, rep = run_report(capsys, "oracle", path)
+    assert code == 0 and rep["results"]["matches"] is True
+    monkeypatch.setattr(exactdet, "_det_mod", _sabotage_check_prime(exactdet))
+    code, out, err = run_cli(capsys, "oracle", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: multimodular determinant fails its check")
+
+
+def test_check_prime_failure_exits_1_under_python_O(tmp_path):
+    path = _oracle_input(tmp_path)
+    script = (
+        "import sys\n"
+        "if sys.flags.optimize < 1:\n"
+        "    sys.exit(99)\n"
+        "from groupdet import exactdet\n"
+        "from groupdet.cli import main\n"
+        "from test_cli import _sabotage_check_prime\n"
+        "exactdet._det_mod = _sabotage_check_prime(exactdet)\n"
+        f"sys.exit(main(['oracle', {path!r}]))\n"
+    )
+    src = str(Path(groupdet.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: multimodular determinant fails its check")

@@ -9,6 +9,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdet import CycInt, InexactDivision, eval_at_root, is_prime
 from groupdet.errors import PrimeMismatch
@@ -209,3 +210,22 @@ def test_integer_coercion_in_arithmetic():
     assert w + 1 == CycInt(p, [1, 1])
     assert 1 - w == CycInt(p, [1, -1])
     assert w * 2 == CycInt(p, [0, 2])
+
+
+@st.composite
+def _cycint_triples(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    coords = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=p - 1, max_size=p - 1)
+    return tuple(CycInt(p, draw(coords)) for _ in range(3))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_cycint_triples())
+def test_ring_axioms_property(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a and a + b == b + a
+    assert a * (b + c) == a * b + a * c
+    if b:
+        assert (a * b).divexact(b) == a

@@ -1,10 +1,16 @@
-"""Bareiss determinant: cofactor oracle, algebraic identities, entry rings."""
+"""Bareiss determinant: cofactor oracle, algebraic identities, entry rings;
+the multimodular integer determinant against Bareiss; the primality test."""
 
 import random
+from itertools import islice
 
+import numpy as np
 import pytest
 
-from groupdet import CycInt, InexactDivision, det_bareiss
+from groupdet import CycInt, GroupDetError, InexactDivision, det_bareiss, det_int, is_prime
+from groupdet import exactdet
+from groupdet.errors import InvalidParameter
+from groupdet.exactdet import MULTIMODULAR_CUTOFF
 from groupdet.polyring import IntPoly
 
 
@@ -169,3 +175,115 @@ def test_heisenberg_cayley_27x27_family_value():
     assert group_determinant(to_group_ring(poly)) == 3 ** 14
     label0, poly0 = h3_family_polys(0)[3]
     assert group_determinant(to_group_ring(poly0)) == 0
+
+
+# -- det_int: Bareiss below the cutoff, certified multimodular above ------
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(-3, 5000))
+    top = exactdet._PRIME_BOUND - 1
+    assert all(is_prime(n) == _trial_division(n) for n in range(top - 3000, top + 1))
+
+
+@pytest.mark.parametrize("n", [561, 2047, 1373653, 25326001, 3215031751,
+                               3825123056546413051])
+def test_is_prime_rejects_carmichael_and_strong_pseudoprimes(n):
+    # strong pseudoprimes to the bases 2, to 2..3, to 2..5, to 2..7 and to
+    # every prime base up to 23: the twelve bases still expose each one
+    assert not is_prime(n)
+
+
+def _first_primes(k):
+    return list(islice(filter(is_prime, range(exactdet._PRIME_BOUND - 1, 2, -2)), k))
+
+
+def _first_prime():
+    return _first_primes(1)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, MULTIMODULAR_CUTOFF - 1, MULTIMODULAR_CUTOFF, 64, 125])
+def test_det_int_equals_bareiss(n):
+    rng = random.Random(4000 + n)
+    m = _random_matrix(rng, n)
+    d = det_bareiss(m)
+    assert d and det_int(m) == d
+    assert isinstance(det_int(m), int)
+    if n > 1:
+        swapped = [m[1], m[0], *m[2:]]
+        assert det_int(swapped) == -d
+    else:
+        assert det_int([[-abs(d)]]) == -abs(d)
+    # singular: one row the sum of two others (or zero); rank n - 2
+    singular = [row[:] for row in m]
+    singular[-1] = [a + b for a, b in zip(m[0], m[1])] if n > 2 else [0] * n
+    assert det_int(singular) == 0
+    if n > 3:
+        deficient = [row[:] for row in m]
+        deficient[-2] = [2 * a - b for a, b in zip(m[0], m[1])]
+        deficient[-1] = [a + 3 * b for a, b in zip(m[1], m[2])]
+        assert det_int(deficient) == 0
+
+
+@pytest.mark.parametrize("n", [MULTIMODULAR_CUTOFF, 64])
+def test_det_int_hard_cases(n):
+    rng = random.Random(5000 + n)
+    q = _first_prime()
+    m = _random_matrix(rng, n)
+    d = det_bareiss(m)
+    # a determinant divisible by the first prime used
+    scaled = [[q * a for a in m[0]], *m[1:]]
+    assert det_int(scaled) == q * d
+    # a pivot that vanishes modulo the first prime only
+    vanishing = [row[:] for row in m]
+    vanishing[0][0] = q
+    assert det_int(vanishing) == det_bareiss(vanishing)
+    # entries above 2^63: a row operation keeps the determinant
+    big = [m[0], [a + (2 ** 80 + 7) * b for a, b in zip(m[1], m[0])], *m[2:]]
+    assert max(abs(a) for a in big[1]) > 2 ** 63
+    assert det_int(big) == d
+    wide = [[(2 ** 70 + 1) * a for a in m[0]], *m[1:]]
+    assert det_int(wide) == (2 ** 70 + 1) * d
+
+
+def test_det_int_bound_leaves_room_for_the_sign():
+    # a diagonal determinant equals its Hadamard bound; just above half the
+    # product of three primes, three primes cover |det| but not its sign
+    q1, q2, q3 = _first_primes(3)
+    d = q1 * q2 * q3 // 2 + 1
+    n = MULTIMODULAR_CUTOFF
+    for v in (d, -d):
+        m = [[v if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+        assert det_int(m) == v
+
+
+def test_det_int_check_prime_catches_a_wrong_residue(monkeypatch):
+    original = exactdet._det_mod
+
+    def sabotaged(a, primes):
+        res = original(a, primes)
+        return res[:-1] + [(res[-1] + 1) % primes[-1]]
+
+    monkeypatch.setattr(exactdet, "_det_mod", sabotaged)
+    m = _random_matrix(random.Random(6000), MULTIMODULAR_CUTOFF)
+    with pytest.raises(GroupDetError, match="fails its check"):
+        det_int(m)
+
+
+def test_det_mod_refuses_sizes_that_overflow_int64():
+    # n q^2 + q passes 2^63 from n = 2049 for the largest prime below
+    # 2^26; a zero-stride view, so no block is allocated
+    a = np.broadcast_to(np.zeros(1, dtype=np.int64), (1, 2049, 2049))
+    with pytest.raises(InvalidParameter, match="int64"):
+        exactdet._det_mod(a, [_first_prime()])
+
+
+def test_det_int_shape_validation():
+    with pytest.raises(ValueError):
+        det_int([])
+    with pytest.raises(ValueError):
+        det_int([[1] * MULTIMODULAR_CUTOFF] * (MULTIMODULAR_CUTOFF - 1) + [[1]])

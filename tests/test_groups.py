@@ -24,7 +24,7 @@ from groupdet import (
     product_group,
     to_group_ring,
 )
-from groupdet.groups import KINDS
+from groupdet.groups import KINDS, GroupSpec
 
 
 # -- construction ----------------------------------------------------------
@@ -75,6 +75,18 @@ def test_group_axioms(g):
     for i in range(n):
         assert sorted(g.mul[i]) == list(range(n))
         assert sorted(g.mul[j][i] for j in range(n)) == list(range(n))
+
+
+def test_non_associative_loop_is_rejected():
+    # an order-5 Latin square with identity 0 in which every element is its
+    # own inverse: a loop, not a group (Z_5 has no element of order 2)
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    labels = [(i,) for i in range(5)]
+    with pytest.raises(InvalidParameter, match="not associative"):
+        GroupSpec("cyclic", (5,), loop, labels)
+    assert GroupSpec("cyclic", (5,), [[(i + j) % 5 for j in range(5)] for i in range(5)],
+                     labels).order == 5
 
 
 @pytest.mark.parametrize("p", [3, 5])

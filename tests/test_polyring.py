@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdet import IntPoly
 from groupdet.errors import InexactDivision
@@ -104,3 +105,17 @@ def test_pow_fold_cyclic():
 def test_rsub_with_int():
     assert 3 - IntPoly([1, 1]) == IntPoly([2, -1])
     assert IntPoly([1, 1]) + 2 == IntPoly([3, 1])
+
+
+_polys = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9).map(IntPoly)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_polys, _polys, _polys)
+def test_ring_axioms_property(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a and a + b == b + a
+    assert a * (b + c) == a * b + a * c
+    if b:
+        assert (a * b).divexact(b) == a

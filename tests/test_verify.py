@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdet import (
     InexactDivision,
@@ -256,3 +257,15 @@ def test_random_instance_shapes():
         assert len(coeffs) <= 7
         assert all(c % 7 == 0 for c in coeffs[1:])
         assert any(coeffs[1:])
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), height=st.integers(1, 4), seed=st.integers(0, 2 ** 32))
+def test_congruence_and_coprime_residue_property(p, height, seed):
+    # M = F(1,1,1)^(p^3) mod p^3, so a coprime M is a (p^2)-th power mod p^3
+    f = random_heisenberg_poly(random.Random(seed), p, height)
+    m = heisenberg_measure(f).m
+    mod = p ** 3
+    assert m % mod == pow(f.value_at_one(), mod, mod)
+    if m % p:
+        assert pow(m, p - 1, mod) == 1
