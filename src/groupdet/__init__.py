@@ -21,7 +21,7 @@ from .errors import (
     ZeroSlice,
 )
 from .exactdet import det_bareiss, det_int, is_prime
-from .cyclotomic import CycInt, eval_at_root
+from .cyclotomic import CycInt
 from .polyring import IntPoly
 from .groups import (
     GroupRingElt,
@@ -30,22 +30,14 @@ from .groups import (
     PolyInput,
     build_group,
     cayley_matrix,
-    cyclic_group,
-    dicyclic_group,
-    dihedral_group,
-    elementary_group,
     group_determinant,
-    heisenberg_group,
     heisenberg_normal_form,
     poly_from_json,
     poly_to_json,
-    product_group,
-    to_group_ring,
 )
 from .measures import (
     HeisenbergFactorization,
     abelian_measure,
-    char_product_2d,
     circulant_det,
     dicyclic_measure,
     dihedral_measure,
@@ -54,7 +46,6 @@ from .measures import (
     heisenberg_measure,
     heisenberg_phi_matrix,
     measure_h3,
-    negacirculant_det,
 )
 from .verify import (
     CongruenceReport,

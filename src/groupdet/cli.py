@@ -38,6 +38,8 @@ from .errors import (
 from .exactdet import is_prime
 from .groups import (
     KINDS,
+    GroupRingElt,
+    build_group,
     check_oracle_order,
     describe_group,
     group_determinant,
@@ -97,7 +99,8 @@ def _json_valuation(v):
 
 
 def _cmd_compute(ns):
-    data = open(ns.poly, "rb").read()
+    with open(ns.poly, "rb") as fh:
+        data = fh.read()
     pin = poly_from_json(data.decode())
     kind = kind_of(pin.kind)
     route, exact = kind.route(pin.params)
@@ -147,13 +150,15 @@ def _cmd_compute(ns):
 
 
 def _cmd_oracle(ns):
-    data = open(ns.poly, "rb").read()
+    with open(ns.poly, "rb") as fh:
+        data = fh.read()
     pin = poly_from_json(data.decode())
-    check_oracle_order(kind_of(pin.kind).order(pin.params))
-    f = pin.to_group_ring()
-    m_oracle = group_determinant(f)
-    route, exact = kind_of(pin.kind).route(pin.params)
-    m_fast = exact(f.coeffs)
+    kind = kind_of(pin.kind)
+    check_oracle_order(kind.order(pin.params))
+    coeffs = kind.flat_coeffs(pin.params, pin.terms)
+    m_oracle = group_determinant(GroupRingElt(build_group(pin.kind, *pin.params), coeffs))
+    route, exact = kind.route(pin.params)
+    m_fast = exact(coeffs)
     results = {
         "group": describe_group(pin.kind, pin.params),
         "m_oracle": str(m_oracle),

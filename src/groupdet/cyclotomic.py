@@ -3,15 +3,12 @@
 Elements are stored in canonical coordinates over the power basis
 1, w, ..., w^(p-2); the relation w^(p-1) = -(1 + w + ... + w^(p-2)) is
 applied eagerly, so equality is plain coefficient comparison and the zero
-test is exact.  The element u = 1 - w generates the unique prime above p
-(u^(p-1) and p agree up to a unit), which makes u-adic valuations the
-exact way to read off p-adic valuations of the integers this package
-produces.
+test is exact.  Character values and block determinants live here; the
+p-adic valuations the package reports are taken of the rational integers
+they multiply out to (``verify.p_valuation``).
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import InexactDivision, InvalidParameter, NotInteger, PrimeMismatch
 from .exactdet import RingElement
@@ -194,43 +191,6 @@ class CycInt(RingElement):
 
     # -- divisibility --------------------------------------------------
 
-    def _div_u(self):
-        """Exact quotient by u = 1 - w, or None if u does not divide.
-
-        Divisibility by u is equivalent to p | f(1) because Z[w]/(u) is
-        the field with p elements under w -> 1.  When that holds, subtract
-        the right multiple of 1 + w + ... + w^(p-1) (which is zero) to
-        force a root at 1, then strip the factor (1 - w) by synthetic
-        division.  No norms, no coefficient blowup.
-        """
-        p = self.p
-        a = self.coeffs
-        t, r = divmod(sum(a), p)
-        if r:
-            return None
-        q = [0] * (p - 1)
-        q[p - 2] = -t
-        for i in range(p - 2, 0, -1):
-            q[i - 1] = (a[i] - t) + q[i]
-        return CycInt(p, tuple(-x for x in q))
-
-    def u_valuation(self):
-        """Exponent of u = 1 - w dividing the element (inf for zero).
-
-        For a rational integer n this equals (p-1) * v_p(n), which is how
-        p-adic valuations of determinant values are certified exactly.
-        """
-        if not self:
-            return math.inf
-        v = 0
-        cur = self
-        while True:
-            nxt = cur._div_u()
-            if nxt is None:
-                return v
-            v += 1
-            cur = nxt
-
     def divexact(self, other):
         """Exact quotient self / other; raises InexactDivision otherwise.
 
@@ -258,15 +218,6 @@ class CycInt(RingElement):
                 raise InexactDivision(f"{self!r} is not divisible by {other!r}")
             out.append(q)
         return CycInt(self.p, tuple(out))
-
-
-def eval_at_root(coeffs, k: int, p: int) -> CycInt:
-    """Evaluate sum(coeffs[i] * x^i) at x = w^k as an exact CycInt."""
-    acc = [0] * p
-    for i, c in enumerate(coeffs):
-        if c:
-            acc[(i * k) % p] += c
-    return CycInt.from_exponent_vector(p, acc)
 
 
 def eval_bivariate_at_roots(coeffs2d, i: int, j: int, p: int) -> CycInt:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -76,11 +77,14 @@ class GroupKind:
 
     def flat_coeffs(self, params, terms) -> list:
         """The coefficient vector in ``labels`` order, found from the
-        labels alone, so the group is not built."""
+        labels alone, so the group is not built.  Exponents are reduced by
+        the moduli; a term with the wrong number of them is refused."""
         moduli = self.moduli(params)
         index = {e: i for i, e in enumerate(self.labels(params))}
         coeffs = [0] * len(index)
         for exps, c in terms:
+            if len(exps) != len(moduli):
+                raise InvalidParameter(f"need {len(moduli)} exponents, got {len(exps)}")
             coeffs[index[tuple(e % n for e, n in zip(exps, moduli))]] += int(c)
         return coeffs
 
@@ -120,7 +124,7 @@ class GroupSpec:
     associativity.
     """
 
-    __slots__ = ("kind", "params", "moduli", "order", "mul", "inv", "element_exps", "_index")
+    __slots__ = ("kind", "params", "moduli", "order", "mul", "inv", "element_exps")
 
     def __init__(self, kind, params, mul, element_exps):
         self.kind = kind
@@ -129,8 +133,7 @@ class GroupSpec:
         self.order = len(mul)
         self.mul = tuple(tuple(row) for row in mul)
         self.element_exps = tuple(tuple(e) for e in element_exps)
-        self._index = {e: i for i, e in enumerate(self.element_exps)}
-        if len(self._index) != self.order:
+        if len(set(self.element_exps)) != self.order:
             raise InvalidParameter("element exponent labels are not distinct")
         self._validate()
         inv = [None] * self.order
@@ -162,20 +165,6 @@ class GroupSpec:
             # slices rather than two order^3 arrays (16 MB at order 125)
             if not all(np.array_equal(t[t[a]], t[a][t]) for a in range(n)):
                 raise InvalidParameter("multiplication table is not associative")
-
-    def index_of(self, exps) -> int:
-        exps = self.reduce_exps(exps)
-        try:
-            return self._index[exps]
-        except KeyError:
-            raise InvalidParameter(f"no element with exponents {exps}") from None
-
-    def reduce_exps(self, exps):
-        """Normalize an exponent tuple into the canonical label range."""
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(self.moduli):
-            raise InvalidParameter(f"need {len(self.moduli)} exponents, got {len(exps)}")
-        return tuple(e % n for e, n in zip(exps, self.moduli))
 
     def is_abelian(self) -> bool:
         return all(self.mul[i][j] == self.mul[j][i]
@@ -319,30 +308,6 @@ def build_group(kind: str, *params) -> GroupSpec:
     return _cached_group(kind, tuple(int(p) for p in params))
 
 
-def cyclic_group(n):
-    return build_group("cyclic", n)
-
-
-def elementary_group(p, n):
-    return build_group("elementary", p, n)
-
-
-def product_group(ns):
-    return build_group("product", *ns)
-
-
-def heisenberg_group(p):
-    return build_group("heisenberg", p)
-
-
-def dihedral_group(order):
-    return build_group("dihedral", order)
-
-
-def dicyclic_group(order):
-    return build_group("dicyclic", order)
-
-
 # -- group-ring elements ------------------------------------------------
 
 
@@ -361,10 +326,7 @@ class GroupRingElt:
 
     @classmethod
     def from_terms(cls, group: GroupSpec, terms) -> "GroupRingElt":
-        coeffs = [0] * group.order
-        for exps, c in terms:
-            coeffs[group.index_of(exps)] += int(c)
-        return cls(group, coeffs)
+        return cls(group, kind_of(group.kind).flat_coeffs(group.params, terms))
 
     def value_sum(self) -> int:
         """Evaluation at the trivial character (all generators -> 1)."""
@@ -489,11 +451,6 @@ class HeisenbergPoly:
                 and self.p == other.p and self.a == other.a)
 
 
-def to_group_ring(f: HeisenbergPoly) -> GroupRingElt:
-    g = heisenberg_group(f.p)
-    return GroupRingElt.from_terms(g, f.nonzero_terms())
-
-
 def heisenberg_normal_form(terms, p: int) -> HeisenbergPoly:
     """Fold words in the generators into normal-form coefficients.
 
@@ -545,6 +502,8 @@ def _parse_word(word: str):
 
 # -- JSON polynomial format ----------------------------------------------
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
 
 @dataclass
 class PolyInput:
@@ -553,12 +512,6 @@ class PolyInput:
     kind: str
     params: tuple
     terms: list  # [(exps tuple, int coef), ...]
-
-    def group(self) -> GroupSpec:
-        return build_group(self.kind, *self.params)
-
-    def to_group_ring(self) -> GroupRingElt:
-        return GroupRingElt.from_terms(self.group(), self.terms)
 
     def to_heisenberg(self) -> HeisenbergPoly:
         if self.kind != "heisenberg":
@@ -572,9 +525,11 @@ def poly_from_json(text: str) -> PolyInput:
     {"group": {"kind": "heisenberg", "p": 3},
      "terms": [{"exps": [1, 2, 0], "coef": "-12"}, ...]}
 
-    Coefficients are decimal strings (or JSON integers); exps length must
-    match the kind (3 for heisenberg, 2 for dihedral/dicyclic, one per
-    factor otherwise).  Malformed input raises ParseError naming the
+    Coefficients are decimal strings (an optional sign and ASCII digits)
+    or JSON integers; exps length must match the kind (3 for heisenberg,
+    2 for dihedral/dicyclic, one per factor otherwise).  Group parameters
+    and exponents are JSON integers; JSON booleans are refused wherever
+    an integer is expected.  Malformed input raises ParseError naming the
     offending key or token.
     """
     try:
@@ -594,12 +549,12 @@ def poly_from_json(text: str) -> PolyInput:
         key = spec.keys[0]
         params = group.get(key)
         if (not isinstance(params, list) or not params
-                or not all(isinstance(n, int) and n >= 1 for n in params)):
+                or not all(type(n) is int and n >= 1 for n in params)):
             raise ParseError(f"{kind} group needs a nonempty {key!r} list")
     else:
         params = [group.get(key) for key in spec.keys]
         for key, v in zip(spec.keys, params):
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ParseError(f"group key {key!r} must be a positive integer")
     params = tuple(params)
     nexps = len(spec.moduli(params))
@@ -612,15 +567,15 @@ def poly_from_json(text: str) -> PolyInput:
             raise ParseError(f"malformed term {t!r}")
         exps = t["exps"]
         if (not isinstance(exps, list) or len(exps) != nexps
-                or not all(isinstance(e, int) for e in exps)):
+                or not all(type(e) is int for e in exps)):
             raise ParseError(f"term exps {exps!r} must be {nexps} integers")
         coef = t["coef"]
-        if isinstance(coef, str):
+        if isinstance(coef, str) and _DECIMAL.fullmatch(coef):
             try:
                 coef = int(coef, 10)
-            except ValueError:
+            except ValueError:  # past the interpreter's digit cap
                 raise ParseError(f"bad coefficient token {t['coef']!r}") from None
-        elif not isinstance(coef, int):
+        elif type(coef) is not int:
             raise ParseError(f"bad coefficient token {coef!r}")
         terms.append((tuple(exps), coef))
     # the kind's parameter check, then exponents reduced by its moduli;

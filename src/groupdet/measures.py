@@ -1,12 +1,12 @@
 """Factorized exact group determinants.
 
-Character products over abelian p-groups, the order-p^3 Heisenberg
-factorization M = M1 * M2^p with certified integrality of M2, the
-binomial two-product shortcut, and the cyclic, dihedral and dicyclic
-routes, which reduce to circulant and negacirculant determinants and
-eliminate them with ``exactdet.det_int`` (Bareiss for small n, certified
-multimodular above).  Every path returns exact integers and is
-cross-checked against the Cayley-matrix oracle in the test suite.
+One character product (``abelian_measure``) for (Z_p)^n and for the
+abelian part M1 of the order-p^3 Heisenberg factorization M = M1 * M2^p,
+the binomial two-product shortcut, and one twisted circulant
+(``circulant_det``, modulo x^n - 1 or x^n + 1) for the cyclic, dihedral
+and dicyclic routes, eliminated by ``exactdet.det_int`` (Bareiss for
+small n, certified multimodular above).  Every path returns exact
+integers and is cross-checked against the Cayley-matrix oracle in tests.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from operator import getitem, itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .cyclotomic import CycInt, eval_bivariate_at_roots
@@ -39,13 +40,6 @@ def certified_int_product(values) -> int:
     return n
 
 
-def char_product_2d(coeffs2d, p: int) -> int:
-    """Product of F(w^i, w^j) over all p^2 characters of Z_p x Z_p."""
-    vals = [eval_bivariate_at_roots(coeffs2d, i, j, p)
-            for i in range(p) for j in range(p)]
-    return certified_int_product(vals)
-
-
 def abelian_measure(moduli, coeffs) -> int:
     """Group determinant over the product of cyclic groups with these
     moduli, computed as the product of character values, certified
@@ -53,22 +47,35 @@ def abelian_measure(moduli, coeffs) -> int:
     order (last exponent fastest), as ``GroupKind.labels`` lists them.
 
     Requires every factor of the group to be the same prime p (this is
-    the only abelian shape the rest of the package needs exactly).
+    the only abelian shape the rest of the package needs exactly).  Every
+    one of the p^n characters is evaluated on its own, and all of their
+    values go through ``certified_int_product``.
     """
     p = moduli[0]
     if not (is_prime(p) and all(n == p for n in moduli)):
         raise InvalidParameter(
             f"character products need all factors equal to one prime, got {tuple(moduli)}")
-    labels = list(product(range(p), repeat=len(moduli)))
-    if len(coeffs) != len(labels):
-        raise InvalidParameter(f"need {len(labels)} coefficients, got {len(coeffs)}")
+    if len(coeffs) != p ** len(moduli):
+        raise InvalidParameter(f"need {p ** len(moduli)} coefficients, got {len(coeffs)}")
+    # One gather reads each row of coefficients along the last exponent t,
+    # with its sum and a zero appended, into table[r]: entry e * p + k, for
+    # 0 <= e < 2p, is the coefficient of w^(e mod p) under the character
+    # t -> x t, which takes row[e k] for x = 1/k (k > 0) and, for x = 0
+    # (k = 0), the sum at e = 0 mod p.  So the p * p entries from e = p - s,
+    # the slice cut[s], hold the values of every x shifted by s.
+    gather = itemgetter(*[e * k % p if k else (p if e % p == 0 else p + 1)
+                          for e in range(2 * p) for k in range(p)])
+    rows = [coeffs[i:i + p] for i in range(0, len(coeffs), p)]
+    table = [gather((*row, sum(row), 0)) for row in rows]
+    cut = [slice((p - s) * p, (2 * p - s) * p) for s in range(p)]
     vals = []
-    for char in labels:
-        acc = [0] * p
-        for label, c in zip(labels, coeffs):
-            if c:
-                acc[sum(j * m for j, m in zip(char, label)) % p] += c
-        vals.append(CycInt.from_exponent_vector(p, acc))
+    for head in product(range(p), repeat=len(moduli) - 1):
+        # the exponent that the character `head` gives each row's label
+        shifts = [0]
+        for y in head:
+            shifts = [(s + y * t) % p for s in shifts for t in range(p)]
+        acc = list(map(sum, zip(*map(getitem, table, [cut[s] for s in shifts]))))
+        vals += [CycInt.from_exponent_vector(p, acc[k::p]) for k in range(p)]
     return certified_int_product(vals)
 
 
@@ -137,7 +144,7 @@ def heisenberg_measure(f: HeisenbergPoly, want_c0: bool = False) -> HeisenbergFa
     other blocks are its Galois conjugates and m2 is its norm.
     """
     p = f.p
-    m1 = char_product_2d(f.collapse_z(), p)
+    m1 = abelian_measure((p, p), [c for row in f.collapse_z() for c in row])
     fac = _factorization(p, m1, det_bareiss(heisenberg_phi_matrix(f, 1)))
     if want_c0:
         fac.fourier_coeffs = heisenberg_fourier_coeffs(f)
@@ -199,40 +206,28 @@ def _as_grid(coeffs2d, p):
 # -- dihedral and dicyclic closed forms -----------------------------------
 
 
-def circulant_det(h, n: int) -> int:
-    """Determinant of the n x n circulant with first column h, by
-    elimination (``det_int``)."""
-    rows = [[h[(r - c) % n] for c in range(n)] for r in range(n)]
-    return det_int(rows)
+def circulant_det(h, n: int, sign: int = 1) -> int:
+    """Determinant of multiplication by h(x) modulo x^n - sign, by
+    elimination (``det_int``): the n x n circulant with first column h
+    for sign 1, the negacirculant for sign -1."""
+    h = list(h)
+    if len(h) != n:
+        raise InvalidParameter(f"need {n} coefficients, got {len(h)}")
+    # column c holds x^c h: entries that wrap past x^(n-1) pick up the sign
+    wrapped = [sign * v for v in h]
+    return det_int([h[r::-1] + wrapped[:r:-1] for r in range(n)])
 
 
-def negacirculant_det(h, n: int) -> int:
-    """Determinant of the n x n negacirculant (multiplication by h(x)
-    modulo x^n + 1)."""
-    rows = [[(-1 if r < c else 1) * h[(r - c) % n] for c in range(n)]
-            for r in range(n)]
-    return det_int(rows)
-
-
-def _fold_correlation(f, n: int, signed: bool) -> list:
-    """Coefficients of the self-correlation f(x) f(1/x), with exponent e
-    folded to e mod n (cyclic) or with a sign of (-1)^(e div n)
-    (negacyclic, signed=True)."""
-    out = [0] * n
-    for i, fi in enumerate(f):
-        if fi:
-            for j, fj in enumerate(f):
-                if fj:
-                    _fold_add(out, i - j, fi * fj, n, signed)
+def _correlation(f) -> list:
+    """Coefficients of f(x) f(1/x) modulo x^m - 1, for m = len(f)."""
+    m = len(f)
+    out = [0] * m
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(f):
+                if b:
+                    out[(i - j) % m] += a * b
     return out
-
-
-def _fold_add(out, e, val, n, signed):
-    if signed:
-        q, r = divmod(e, n)
-        out[r] += -val if q & 1 else val
-    else:
-        out[e % n] += val
 
 
 def dihedral_measure(f, g, n: int) -> int:
@@ -241,11 +236,9 @@ def dihedral_measure(f, g, n: int) -> int:
     f f~ - g g~ reduced mod x^n - 1 (f~ is coefficient reversal)."""
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    f = _fold_vector(f, n)
-    g = _fold_vector(g, n)
-    h = [a - b for a, b in zip(_fold_correlation(f, n, False),
-                               _fold_correlation(g, n, False))]
-    return circulant_det(h, n)
+    cf = _correlation(_fold_vector(f, n))
+    cg = _correlation(_fold_vector(g, n))
+    return circulant_det([a - b for a, b in zip(cf, cg)], n)
 
 
 def dicyclic_measure(f, g, n: int) -> int:
@@ -255,18 +248,12 @@ def dicyclic_measure(f, g, n: int) -> int:
     negacirculant determinant (mod x^n + 1) of f f~ + g g~."""
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    f = _fold_vector(f, 2 * n)
-    g = _fold_vector(g, 2 * n)
-    minus = [0] * n
-    plus = [0] * n
-    for coeffs, s in ((f, 1), (g, -1)):
-        for i, ci in enumerate(coeffs):
-            if ci:
-                for j, cj in enumerate(coeffs):
-                    if cj:
-                        _fold_add(minus, i - j, ci * cj if s > 0 else -ci * cj, n, False)
-                        _fold_add(plus, i - j, ci * cj, n, True)
-    return circulant_det(minus, n) * negacirculant_det(plus, n)
+    # correlations modulo x^2n - 1 = (x^n - 1)(x^n + 1), then split
+    cf = _correlation(_fold_vector(f, 2 * n))
+    cg = _correlation(_fold_vector(g, 2 * n))
+    minus = [a - b + c - d for a, b, c, d in zip(cf, cg, cf[n:], cg[n:])]
+    plus = [a + b - c - d for a, b, c, d in zip(cf, cg, cf[n:], cg[n:])]
+    return circulant_det(minus, n) * circulant_det(plus, n, -1)
 
 
 def _fold_vector(f, n: int) -> list:

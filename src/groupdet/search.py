@@ -3,9 +3,13 @@
 Enumerate (exhaustively or by seeded sampling) the determinant values a
 group attains at a given coefficient height, track the minimum
 nontrivial absolute value and a witness, and estimate the growth
-constant log(min)/|G|.  Exhaustive work is split into shards by the
-first coefficient; shard results merge by min/union, so the outcome is
-independent of evaluation order.
+constant log(min)/|G|.  The outcome is deterministic, and the witness
+depends on the order of work.  Exhaustive work is split into shards by
+the first coefficient, in increasing order; each shard walks the rest in
+lexicographic order and keeps the first vector of smallest |m| >= 2, and
+the merge keeps the least (|m|, m, vector), so a tie in |m| goes to the
+negative value.  The order-8 dihedral kernel keeps the lexicographically
+first vector of smallest |m|; a random search, the first such trial.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import groupdet
-from groupdet import CycInt, GroupRingElt, NotInteger, group_determinant, product_group
+from groupdet import CycInt, GroupRingElt, NotInteger, build_group, group_determinant
 from groupdet.cli import main
 from groupdet.groups import _cached_group, poly_from_json, poly_to_json
 
@@ -250,7 +250,7 @@ def test_search_mixed_product_matches_oracle(capsys):
                            "--height", "1")
     assert code == 0
     res = rep["results"]
-    g = product_group((2, 3))
+    g = build_group("product", 2, 3)
     values = {group_determinant(GroupRingElt(g, c))
               for c in product((-1, 0, 1), repeat=6)}
     assert res["attained_values"] == [str(v) for v in sorted(values)]
@@ -370,12 +370,30 @@ def test_compute_bad_heisenberg_prime_names_the_group(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: Heisenberg group needs an odd prime, got 4\n")
 
 
+@pytest.mark.parametrize("group,term,message", [
+    ({"kind": "cyclic", "n": 3}, {"exps": [True], "coef": True},
+     "term exps [True] must be 1 integers"),
+    ({"kind": "cyclic", "n": 3}, {"exps": [1], "coef": True}, "bad coefficient token True"),
+    ({"kind": "cyclic", "n": True}, {"exps": [0], "coef": 1},
+     "group key 'n' must be a positive integer"),
+    ({"kind": "product", "orders": [2, True]}, {"exps": [0, 0], "coef": 1},
+     "product group needs a nonempty 'orders' list"),
+    ({"kind": "cyclic", "n": 3}, {"exps": [0], "coef": " 7"}, "bad coefficient token ' 7'"),
+    ({"kind": "cyclic", "n": 3}, {"exps": [0], "coef": "1_000"},
+     "bad coefficient token '1_000'"),
+])
+def test_json_booleans_and_loose_decimals_exit_2(capsys, tmp_path, group, term, message):
+    path = write_poly(tmp_path, "bad.json", group, [term])
+    for cmd in ("compute", "oracle"):
+        assert run_cli(capsys, cmd, path) == (2, "", f"error: {message}\n")
+
+
 def test_heisenberg_compute_builds_no_cayley_table(capsys, tmp_path):
     rng = random.Random(11)
     terms = [{"exps": list(e), "coef": rng.randint(-2, 2)} for e in product(range(11), repeat=3)]
     path = write_poly(tmp_path, "h11.json", {"kind": "heisenberg", "p": 11}, terms)
     _cached_group.cache_clear()
-    poly_from_json(open(path).read())
+    poly_from_json(Path(path).read_text())
     code, rep = run_report(capsys, "compute", path)
     assert code == 0
     assert rep["results"]["group"] == {"kind": "heisenberg", "order": 1331, "p": 11}

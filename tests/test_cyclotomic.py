@@ -5,13 +5,13 @@ frozen tuple below was reduced by hand from w^(p-1) = -(1 + w + ... +
 w^(p-2)).
 """
 
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupdet import CycInt, InexactDivision, eval_at_root, is_prime
+from groupdet import CycInt, InexactDivision, is_prime
+from groupdet.cyclotomic import eval_bivariate_at_roots
 from groupdet.errors import PrimeMismatch
 
 
@@ -113,37 +113,6 @@ def test_as_integer():
     assert CycInt.root(7).as_integer() is None
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_u_valuation_reference_points(p):
-    u = CycInt.from_int(p, 1) - CycInt.root(p)
-    assert CycInt.zero(p).u_valuation() == math.inf
-    assert CycInt.one(p).u_valuation() == 0
-    assert u.u_valuation() == 1
-    assert CycInt.from_int(p, p).u_valuation() == p - 1
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_u_valuation_of_integers(p):
-    # v_u(n) = (p - 1) * v_p(n) for rational integers
-    for n in (1, 2, p, 2 * p, p ** 2, 3 * p ** 3, -p):
-        vp = 0
-        m = abs(n)
-        while m % p == 0:
-            vp += 1
-            m //= p
-        assert CycInt.from_int(p, n).u_valuation() == (p - 1) * vp
-
-
-def test_u_valuation_additive_on_products():
-    rng = random.Random(8)
-    p = 5
-    for _ in range(40):
-        a, b = _random_elt(rng, p, 4), _random_elt(rng, p, 4)
-        if not a or not b:
-            continue
-        assert (a * b).u_valuation() == a.u_valuation() + b.u_valuation()
-
-
 def test_divexact_roundtrip():
     rng = random.Random(9)
     for p in (3, 5, 7):
@@ -194,14 +163,14 @@ def test_mixed_primes_rejected():
         CycInt.root(3) * CycInt.root(5)
 
 
-def test_eval_at_root():
-    # y^2 + 2 at w^k, p = 5
+def test_eval_bivariate_at_roots_one_row():
+    # z^2 + 2 at z = w^k, p = 5: a grid with the single row y^0
     p = 5
     coeffs = [2, 0, 1]
     for k in range(p):
         expect = CycInt.root(p, k) ** 2 + CycInt.from_int(p, 2)
-        assert eval_at_root(coeffs, k, p) == expect
-    assert eval_at_root(coeffs, 0, p).as_integer() == 3
+        assert eval_bivariate_at_roots([coeffs], 0, k, p) == expect
+    assert eval_bivariate_at_roots([coeffs], 0, 0, p).as_integer() == 3
 
 
 def test_integer_coercion_in_arithmetic():

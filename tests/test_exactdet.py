@@ -167,14 +167,15 @@ def test_inexact_division_is_reported():
 
 def test_heisenberg_cayley_27x27_family_value():
     # the explicit 27-element family with closed value 3^14 * m
-    from groupdet import group_determinant, to_group_ring
+    from groupdet import GroupRingElt, build_group, group_determinant
     from groupdet.verify import h3_family_polys
 
+    g = build_group("heisenberg", 3)
     label, poly = h3_family_polys(1)[3]
     assert label == "1+2x-x*phi(y)"
-    assert group_determinant(to_group_ring(poly)) == 3 ** 14
+    assert group_determinant(GroupRingElt(g, poly.flat())) == 3 ** 14
     label0, poly0 = h3_family_polys(0)[3]
-    assert group_determinant(to_group_ring(poly0)) == 0
+    assert group_determinant(GroupRingElt(g, poly0.flat())) == 0
 
 
 # -- det_int: Bareiss below the cutoff, certified multimodular above ------

@@ -12,17 +12,10 @@ from groupdet import (
     ParseError,
     build_group,
     cayley_matrix,
-    cyclic_group,
-    dicyclic_group,
-    dihedral_group,
-    elementary_group,
     group_determinant,
-    heisenberg_group,
     heisenberg_normal_form,
     poly_from_json,
     poly_to_json,
-    product_group,
-    to_group_ring,
 )
 from groupdet.groups import KINDS, GroupSpec
 
@@ -31,43 +24,43 @@ from groupdet.groups import KINDS, GroupSpec
 
 
 def test_orders_and_kinds():
-    assert cyclic_group(6).order == 6
-    assert elementary_group(3, 2).order == 9
-    assert product_group((2, 3, 4)).order == 24
-    assert heisenberg_group(3).order == 27
-    assert dihedral_group(8).order == 8
-    assert dicyclic_group(12).order == 12
+    assert build_group("cyclic", 6).order == 6
+    assert build_group("elementary", 3, 2).order == 9
+    assert build_group("product", 2, 3, 4).order == 24
+    assert build_group("heisenberg", 3).order == 27
+    assert build_group("dihedral", 8).order == 8
+    assert build_group("dicyclic", 12).order == 12
 
 
 def test_abelian_flags():
-    assert cyclic_group(5).is_abelian()
-    assert product_group((2, 2)).is_abelian()
-    assert not heisenberg_group(3).is_abelian()
-    assert not dihedral_group(6).is_abelian()
-    assert not dicyclic_group(8).is_abelian()
-    assert dihedral_group(4).is_abelian()  # the Klein four-group
+    assert build_group("cyclic", 5).is_abelian()
+    assert build_group("product", 2, 2).is_abelian()
+    assert not build_group("heisenberg", 3).is_abelian()
+    assert not build_group("dihedral", 6).is_abelian()
+    assert not build_group("dicyclic", 8).is_abelian()
+    assert build_group("dihedral", 4).is_abelian()  # the Klein four-group
 
 
 def test_invalid_parameters():
     with pytest.raises(InvalidParameter):
-        heisenberg_group(4)
+        build_group("heisenberg", 4)
     with pytest.raises(InvalidParameter):
-        heisenberg_group(2)
+        build_group("heisenberg", 2)
     with pytest.raises(InvalidParameter):
-        dihedral_group(7)
+        build_group("dihedral", 7)
     with pytest.raises(InvalidParameter):
-        dicyclic_group(6)
+        build_group("dicyclic", 6)
     with pytest.raises(InvalidParameter):
         build_group("frobnicate", 5)
 
 
 @pytest.mark.parametrize("g", [
-    cyclic_group(7), elementary_group(3, 2), product_group((2, 4)),
-    heisenberg_group(3), dihedral_group(10), dicyclic_group(8),
+    build_group("cyclic", 7), build_group("elementary", 3, 2), build_group("product", 2, 4),
+    build_group("heisenberg", 3), build_group("dihedral", 10), build_group("dicyclic", 8),
 ])
 def test_group_axioms(g):
     n = g.order
-    e = g.index_of((0,) * len(g.element_exps[0]))
+    e = g.element_exps.index((0,) * len(g.moduli))
     for i in range(n):
         assert g.mul[e][i] == i and g.mul[i][e] == i
         assert g.mul[i][g.inv[i]] == e and g.mul[g.inv[i]][i] == e
@@ -92,7 +85,7 @@ def test_non_associative_loop_is_rejected():
 @pytest.mark.parametrize("p", [3, 5])
 def test_heisenberg_law_matches_matrix_model(p):
     # (a, b, c) as the unitriangular matrix [[1, b, c], [0, 1, a], [0, 0, 1]]
-    g = heisenberg_group(p)
+    g = build_group("heisenberg", p)
 
     def mat(t):
         a, b, c = t
@@ -109,13 +102,14 @@ def test_heisenberg_law_matches_matrix_model(p):
                                        mat(g.element_exps[j]))
 
 
-def test_reduce_exps():
-    g = heisenberg_group(3)
-    assert g.reduce_exps((4, -1, 3)) == (1, 2, 0)
-    d = dihedral_group(8)
-    assert d.reduce_exps((5, 3)) == (1, 1)
-    with pytest.raises(InvalidParameter):
-        g.reduce_exps((1, 2))
+def test_flat_coeffs_reduce_exponents_and_count_them():
+    heis, dih = KINDS["heisenberg"], KINDS["dihedral"]
+    assert heis.flat_coeffs((3,), [((4, -1, 3), 7)]) == heis.flat_coeffs((3,), [((1, 2, 0), 7)])
+    assert dih.flat_coeffs((8,), [((5, 3), 1)]) == dih.flat_coeffs((8,), [((1, 1), 1)])
+    for exps in [(1, 2, 0, 5), (1,)]:
+        with pytest.raises(InvalidParameter) as exc:
+            heis.flat_coeffs((3,), [(exps, 7)])
+        assert str(exc.value) == f"need 3 exponents, got {len(exps)}"
 
 
 # -- group-ring elements ---------------------------------------------------
@@ -127,7 +121,7 @@ def _random_elt(rng, g, height=4):
             for i in range(g.order)])
 
 
-@pytest.mark.parametrize("g", [cyclic_group(4), dihedral_group(6)])
+@pytest.mark.parametrize("g", [build_group("cyclic", 4), build_group("dihedral", 6)])
 def test_determinant_multiplicative_under_convolution(g):
     rng = random.Random(50 + g.order)
     for _ in range(15):
@@ -138,7 +132,7 @@ def test_determinant_multiplicative_under_convolution(g):
 
 
 def test_translation_preserves_absolute_determinant():
-    g = dihedral_group(8)
+    g = build_group("dihedral", 8)
     rng = random.Random(51)
     f = _random_elt(rng, g)
     d = group_determinant(f)
@@ -147,7 +141,7 @@ def test_translation_preserves_absolute_determinant():
 
 
 def test_identity_element_determinant():
-    g = heisenberg_group(3)
+    g = build_group("heisenberg", 3)
     one = GroupRingElt.from_terms(g, [((0, 0, 0), 1)])
     assert group_determinant(one) == 1
     mat = cayley_matrix(one)
@@ -156,14 +150,14 @@ def test_identity_element_determinant():
 
 
 def test_oracle_order_cap():
-    g = product_group((5, 5, 5, 5))  # order 625 > the safety cap
+    g = build_group("product", 5, 5, 5, 5)  # order 625 > the safety cap
     f = GroupRingElt.from_terms(g, [((0, 0, 0, 0), 1)])
     with pytest.raises(InvalidParameter):
         group_determinant(f)
 
 
 def test_value_sum():
-    g = cyclic_group(3)
+    g = build_group("cyclic", 3)
     f = GroupRingElt.from_terms(g, [((0,), 2), ((1,), -5)])
     assert f.value_sum() == -3
 
@@ -200,7 +194,7 @@ def test_normal_form_double_swap():
 def test_normal_form_matches_group_multiplication():
     # evaluating the word letter by letter in the Cayley table must land
     # on the same element the normal form names
-    g = heisenberg_group(3)
+    g = build_group("heisenberg", 3)
     from groupdet.groups import _parse_word
 
     words = ["x", "y", "z", "yx", "xy", "zyx", "x^2y^2", "y^-1x^-1",
@@ -208,10 +202,10 @@ def test_normal_form_matches_group_multiplication():
     for word in words:
         f = heisenberg_normal_form([(word, 1)], 3)
         (exps, c), = f.nonzero_terms()
-        idx = g.index_of((0, 0, 0))
+        idx = 0
         for gen, e in _parse_word(word):
-            step = {"x": (e, 0, 0), "y": (0, e, 0), "z": (0, 0, e)}[gen]
-            idx = g.mul[idx][g.index_of(g.reduce_exps(step))]
+            step = {"x": (e % 3, 0, 0), "y": (0, e % 3, 0), "z": (0, 0, e % 3)}[gen]
+            idx = g.mul[idx][g.element_exps.index(step)]
         assert g.element_exps[idx] == exps
 
 
@@ -247,14 +241,22 @@ def test_json_reduces_exponents():
     assert pin.terms == [((2,), 5)]
 
 
-def test_json_product_group():
+def test_json_product_kind():
     text = json.dumps({
         "group": {"kind": "product", "orders": [2, 3]},
         "terms": [{"exps": [1, 2], "coef": "10"}],
     })
     pin = poly_from_json(text)
-    assert pin.group().order == 6
+    assert build_group(pin.kind, *pin.params).order == 6
     assert pin.terms == [((1, 2), 10)]
+
+
+def test_json_decimal_strings_take_a_sign():
+    text = json.dumps({
+        "group": {"kind": "cyclic", "n": 3},
+        "terms": [{"exps": [0], "coef": "+7"}, {"exps": [1], "coef": "-012"}],
+    })
+    assert poly_from_json(text).terms == [((0,), 7), ((1,), -12)]
 
 
 @pytest.mark.parametrize("bad,needle", [
@@ -310,12 +312,15 @@ def test_flat_coeffs_follow_the_built_labels(kind, params):
     # unreduced and repeated labels
     terms = [(tuple(rng.randrange(-n, 2 * n) for n in moduli), rng.randint(-3, 3))
              for _ in range(3 * spec.order(params))]
-    want = GroupRingElt.from_terms(build_group(kind, *params), terms).coeffs
+    g = build_group(kind, *params)
+    want = [0] * g.order
+    for exps, c in terms:
+        want[g.element_exps.index(tuple(e % n for e, n in zip(exps, moduli)))] += c
     assert spec.flat_coeffs(params, terms) == want
 
 
-def test_to_group_ring_consistency():
+def test_heisenberg_flat_follows_the_group_labels():
     f = HeisenbergPoly.from_terms(3, [((1, 1, 0), 2), ((0, 0, 2), -1)])
-    elt = to_group_ring(f)
-    assert elt.group.kind == "heisenberg"
+    elt = GroupRingElt.from_terms(build_group("heisenberg", 3), f.nonzero_terms())
+    assert elt.coeffs == f.flat()
     assert elt.value_sum() == f.value_at_one()

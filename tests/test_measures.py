@@ -19,27 +19,24 @@ from groupdet import (
     HeisenbergPoly,
     NotInteger,
     abelian_measure,
-    char_product_2d,
     circulant_det,
-    cyclic_group,
-    dicyclic_group,
     dicyclic_measure,
-    dihedral_group,
     dihedral_measure,
-    elementary_group,
     group_determinant,
     heisenberg_binomial_measure,
     heisenberg_fourier_coeffs,
     heisenberg_measure,
     heisenberg_phi_matrix,
     measure_h3,
-    negacirculant_det,
-    to_group_ring,
 )
-from groupdet.exactdet import det_bareiss
+from groupdet.exactdet import MULTIMODULAR_CUTOFF, det_bareiss
 from groupdet.groups import KINDS, build_group, kind_of
 from groupdet.measures import certified_int_product
 from groupdet.verify import random_heisenberg_poly
+
+
+def _heisenberg_elt(f):
+    return GroupRingElt(build_group("heisenberg", f.p), f.flat())
 
 
 # -- the group-kind table ---------------------------------------------------
@@ -71,15 +68,15 @@ def test_table_route_equals_oracle(kind, data):
 
 
 def test_cyclic_three_simple_value():
-    g = cyclic_group(3)
+    g = build_group("cyclic", 3)
     f = GroupRingElt.from_terms(g, [((0,), 1), ((1,), 1)])  # 1 + x
     # (1+1)(1+w)(1+w^2) = 2 * (w^3 + ... ) = 2
     assert abelian_measure(g.moduli, f.coeffs) == 2
     assert group_determinant(f) == 2
 
 
-@pytest.mark.parametrize("g", [cyclic_group(3), cyclic_group(5),
-                               elementary_group(3, 2)])
+@pytest.mark.parametrize("g", [build_group("cyclic", 3), build_group("cyclic", 5),
+                               build_group("elementary", 3, 2)])
 def test_abelian_measure_matches_oracle(g):
     rng = random.Random(60 + g.order)
     for _ in range(30):
@@ -102,11 +99,16 @@ def test_abelian_measure_rejects_a_short_coefficient_vector():
 
 def test_circulant_matches_oracle_composite_order():
     rng = random.Random(61)
-    g = cyclic_group(6)
+    g = build_group("cyclic", 6)
     for _ in range(20):
         h = [rng.randint(-4, 4) for _ in range(6)]
         f = GroupRingElt.from_terms(g, [((i,), c) for i, c in enumerate(h)])
         assert circulant_det(h, 6) == group_determinant(f)
+    # the rows are slices of h, so a vector of another length is refused
+    from groupdet import InvalidParameter
+    for bad in ([1, 2, 3], [1]):
+        with pytest.raises(InvalidParameter, match=f"need 2 coefficients, got {len(bad)}"):
+            circulant_det(bad, 2)
 
 
 def test_certified_product_refuses_non_integers():
@@ -152,7 +154,7 @@ def test_generators_have_unit_determinant(exps):
     f = HeisenbergPoly.from_terms(3, [(exps, 1)])
     fac = heisenberg_measure(f)
     assert fac.m == 1
-    assert group_determinant(to_group_ring(f)) == 1
+    assert group_determinant(_heisenberg_elt(f)) == 1
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -162,7 +164,7 @@ def test_factorization_matches_oracle(p):
         f = random_heisenberg_poly(rng, p, 5)
         fac = heisenberg_measure(f)
         assert fac.m == fac.m1 * fac.m2 ** p
-        assert fac.m == group_determinant(to_group_ring(f))
+        assert fac.m == group_determinant(_heisenberg_elt(f))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -190,7 +192,8 @@ def test_x_free_input_reduces_to_character_product():
         grid = [[rng.randint(-4, 4) for _ in range(p)] for _ in range(p)]
         f = HeisenbergPoly.from_terms(
             p, [((0, j, k), grid[j][k]) for j in range(p) for k in range(p)])
-        assert heisenberg_measure(f).m == char_product_2d(grid, p) ** p
+        flat = [c for row in grid for c in row]
+        assert heisenberg_measure(f).m == abelian_measure((p, p), flat) ** p
 
 
 # -- binomial shortcut -------------------------------------------------------
@@ -276,7 +279,7 @@ def _two_part_elt(g, f, gg):
 def test_dihedral_matches_oracle(order):
     rng = random.Random(67 + order)
     n = order // 2
-    g = dihedral_group(order)
+    g = build_group("dihedral", order)
     for _ in range(15):
         f = [rng.randint(-4, 4) for _ in range(n)]
         gg = [rng.randint(-4, 4) for _ in range(n)]
@@ -288,12 +291,27 @@ def test_dihedral_matches_oracle(order):
 def test_dicyclic_matches_oracle(order):
     rng = random.Random(68 + order)
     n = order // 4
-    g = dicyclic_group(order)
+    g = build_group("dicyclic", order)
     for _ in range(15):
         f = [rng.randint(-4, 4) for _ in range(2 * n)]
         gg = [rng.randint(-4, 4) for _ in range(2 * n)]
         assert dicyclic_measure(f, gg, n) == \
             group_determinant(_two_part_elt(g, f, gg))
+
+
+@pytest.mark.parametrize("kind,order", [("dihedral", 64), ("dihedral", 128),
+                                        ("dicyclic", 128), ("dicyclic", 256)])
+def test_twisted_circulants_above_the_cutoff_match_oracle(kind, order):
+    # circulants (and for dicyclic, negacirculants) of n >= 32 rows: both
+    # the route and the Cayley oracle take the multimodular elimination
+    n = order // (2 if kind == "dihedral" else 4)
+    assert n >= MULTIMODULAR_CUTOFF
+    rng = random.Random(71 + order)
+    coeffs = [rng.randint(-2, 2) for _ in range(order)]
+    _, exact = kind_of(kind).route((order,))
+    m = group_determinant(GroupRingElt(build_group(kind, order), coeffs))
+    assert m != 0
+    assert exact(coeffs) == m
 
 
 def test_negacirculant_against_numeric_roots():
@@ -302,7 +320,7 @@ def test_negacirculant_against_numeric_roots():
     for n in (2, 3, 4, 5):
         for _ in range(10):
             h = [rng.randint(-4, 4) for _ in range(n)]
-            got = negacirculant_det(h, n)
+            got = circulant_det(h, n, -1)
             prod = 1 + 0j
             for k in range(n):
                 z = cmath.exp(1j * math.pi * (2 * k + 1) / n)
