@@ -38,6 +38,7 @@ from .groups import (
 from .measures import (
     HeisenbergFactorization,
     abelian_measure,
+    char_product_2d,
     circulant_det,
     dicyclic_measure,
     dihedral_measure,

@@ -61,7 +61,7 @@ class CycInt(RingElement):
             raise InvalidParameter(f"need {p} accumulator slots, got {len(vec)}")
         top = vec[p - 1]
         if top:
-            return cls(p, tuple(vec[i] - top for i in range(p - 1)))
+            return cls(p, tuple([c - top for c in vec[:-1]]))
         return cls(p, tuple(vec[:-1]))
 
     # -- basic ring structure -----------------------------------------

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from operator import mod
 from typing import Callable
 
 import numpy as np
@@ -85,7 +86,7 @@ class GroupKind:
         for exps, c in terms:
             if len(exps) != len(moduli):
                 raise InvalidParameter(f"need {len(moduli)} exponents, got {len(exps)}")
-            coeffs[index[tuple(e % n for e, n in zip(exps, moduli))]] += int(c)
+            coeffs[index[tuple(map(mod, exps, moduli))]] += int(c)
         return coeffs
 
     def base_prime(self, params) -> int:

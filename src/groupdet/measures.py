@@ -1,12 +1,14 @@
 """Factorized exact group determinants.
 
-One character product (``abelian_measure``) for (Z_p)^n and for the
-abelian part M1 of the order-p^3 Heisenberg factorization M = M1 * M2^p,
-the binomial two-product shortcut, and one twisted circulant
-(``circulant_det``, modulo x^n - 1 or x^n + 1) for the cyclic, dihedral
-and dicyclic routes, eliminated by ``exactdet.det_int`` (Bareiss for
-small n, certified multimodular above).  Every path returns exact
-integers and is cross-checked against the Cayley-matrix oracle in tests.
+One character product (``abelian_measure``) for (Z_p)^n, which
+``char_product_2d`` feeds a Z_p x Z_p coefficient grid (the abelian
+part M1 of the order-p^3 Heisenberg factorization M = M1 * M2^p and
+the Z_p x Z_p checks), the binomial two-product shortcut, and one
+twisted circulant (``circulant_det``, modulo x^n - 1 or x^n + 1) for
+the cyclic, dihedral and dicyclic routes, eliminated by
+``exactdet.det_int`` (Bareiss for small n, certified multimodular
+above).  Every path returns exact integers and is cross-checked against
+the Cayley-matrix oracle in tests.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, mul
 from typing import TYPE_CHECKING, Optional
 
 from .cyclotomic import CycInt, eval_bivariate_at_roots
@@ -33,11 +35,21 @@ def certified_int_product(values) -> int:
     mathematical reasons; this does not trust that argument and raises
     NotInteger if the canonical coordinates say otherwise.
     """
-    total = reduce(lambda a, b: a * b, values)
+    total = reduce(mul, values)
     n = total.as_integer()
     if n is None:
         raise NotInteger(f"product is not a rational integer: {total!r}")
     return n
+
+
+def char_product_2d(coeffs2d, p: int) -> int:
+    """Determinant over Z_p x Z_p of F = sum c[b][k] x^b y^k, the
+    product of F(w^i, w^j) over all p^2 characters, by
+    ``abelian_measure``.  Rows may be ragged; exponents are reduced mod p.
+    """
+    from .groups import KINDS  # groups imports this module for its routes
+    terms = [((b, k), c) for b, row in enumerate(coeffs2d) for k, c in enumerate(row) if c]
+    return abelian_measure((p, p), KINDS["elementary"].flat_coeffs((p, 2), terms))
 
 
 def abelian_measure(moduli, coeffs) -> int:
@@ -144,7 +156,7 @@ def heisenberg_measure(f: HeisenbergPoly, want_c0: bool = False) -> HeisenbergFa
     other blocks are its Galois conjugates and m2 is its norm.
     """
     p = f.p
-    m1 = abelian_measure((p, p), [c for row in f.collapse_z() for c in row])
+    m1 = char_product_2d(f.collapse_z(), p)
     fac = _factorization(p, m1, det_bareiss(heisenberg_phi_matrix(f, 1)))
     if want_c0:
         fac.fourier_coeffs = heisenberg_fourier_coeffs(f)
@@ -179,8 +191,6 @@ def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorizati
     """
     if not 1 <= k < p:
         raise InvalidParameter(f"binomial exponent k={k} must be in 1..{p - 1}")
-    f0 = _as_grid(f0, p)
-    fk = _as_grid(fk, p)
     m1_terms = []
     for i in range(p):
         a = eval_bivariate_at_roots(f0, i, 0, p)
@@ -192,15 +202,6 @@ def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorizati
     prodk = reduce(lambda a, b: a * b,
                    (eval_bivariate_at_roots(fk, i, 1, p) for i in range(p)))
     return _factorization(p, m1, prod0 + prodk)
-
-
-def _as_grid(coeffs2d, p):
-    grid = [[0] * p for _ in range(p)]
-    for b, row in enumerate(coeffs2d):
-        for c, v in enumerate(row):
-            if v:
-                grid[b % p][c % p] += int(v)
-    return grid
 
 
 # -- dihedral and dicyclic closed forms -----------------------------------

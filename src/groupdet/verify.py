@@ -15,10 +15,10 @@ from typing import Optional
 
 from .errors import InexactDivision, InvalidParameter, PreconditionViolated
 from .exactdet import is_prime
-from .groups import HeisenbergPoly, kind_of
+from .groups import HeisenbergPoly
 from .measures import (
     HeisenbergFactorization,
-    abelian_measure,
+    char_product_2d,
     circulant_det,
     heisenberg_measure,
 )
@@ -164,8 +164,7 @@ def zp2_divisibility_check(coeffs2d, p: int) -> SharpnessReport:
     applicable is False (and the bound vacuous) when the value is
     coprime to p.
     """
-    terms = [((i, j), c) for i, row in enumerate(coeffs2d) for j, c in enumerate(row)]
-    m = abelian_measure((p, p), kind_of("elementary").flat_coeffs((p, 2), terms))
+    m = char_product_2d(coeffs2d, p)
     expected = p + 3
     v = p_valuation(m, p)
     applicable = not (m % p)
@@ -195,7 +194,7 @@ def zp2_sharp_family(p: int, k: int = 0, units=(1, 1, 1)):
     grid[1][0] = -a2
     grid[0][1] = -2 * a3
     grid[0][2] = a3
-    m = abelian_measure((p, p), [c for row in grid for c in row])
+    m = char_product_2d(grid, p)
     v = p_valuation(m, p)
     expected = p + 3 + k
     return grid, SharpnessReport(family="zp2-sharp", p=p, k=k, value=m,

@@ -19,6 +19,7 @@ from groupdet import (
     HeisenbergPoly,
     NotInteger,
     abelian_measure,
+    char_product_2d,
     circulant_det,
     dicyclic_measure,
     dihedral_measure,
@@ -192,8 +193,19 @@ def test_x_free_input_reduces_to_character_product():
         grid = [[rng.randint(-4, 4) for _ in range(p)] for _ in range(p)]
         f = HeisenbergPoly.from_terms(
             p, [((0, j, k), grid[j][k]) for j in range(p) for k in range(p)])
-        flat = [c for row in grid for c in row]
-        assert heisenberg_measure(f).m == abelian_measure((p, p), flat) ** p
+        assert heisenberg_measure(f).m == char_product_2d(grid, p) ** p
+
+
+def test_char_product_2d_places_ragged_grids_mod_p():
+    # rows and columns past p wrap around, as exponents of Z_p x Z_p
+    rng = random.Random(73)
+    g = build_group("elementary", 3, 2)
+    for _ in range(10):
+        grid = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+                for _ in range(rng.randint(1, 5))]
+        terms = [((b, k), c) for b, row in enumerate(grid) for k, c in enumerate(row)]
+        assert char_product_2d(grid, 3) == \
+            group_determinant(GroupRingElt.from_terms(g, terms))
 
 
 # -- binomial shortcut -------------------------------------------------------
@@ -221,6 +233,16 @@ def test_binomial_matches_generic_route(p, k):
         assert fac_short.m == fac_full.m
         assert fac_short.m1 == fac_full.m1
         assert fac_short.m2 == fac_full.m2
+
+
+def test_binomial_reduces_exponents_mod_p():
+    # at p = 3, f0 = z + y^4 z^3 is z + y and fk = 2 z^4 is 2 z
+    fac = heisenberg_binomial_measure([[0, 1], [], [], [0, 0, 0, 0], [0, 0, 0, 1]],
+                                      [[0, 0, 0, 0, 2]], 1, 3)
+    full = heisenberg_measure(HeisenbergPoly.from_terms(
+        3, [((0, 0, 1), 1), ((0, 1, 0), 1), ((1, 0, 1), 2)]))
+    assert full.m != 0
+    assert (fac.m, fac.m1, fac.m2) == (full.m, full.m1, full.m2)
 
 
 def test_binomial_rejects_bad_exponent():
