@@ -26,7 +26,6 @@ from .polyring import IntPoly
 from .groups import (
     GroupRingElt,
     GroupSpec,
-    HeisenbergPoly,
     PolyInput,
     build_group,
     cayley_matrix,

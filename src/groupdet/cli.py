@@ -105,17 +105,18 @@ def _cmd_compute(ns):
     kind = kind_of(pin.kind)
     route, exact = kind.route(pin.params)
     group = describe_group(pin.kind, pin.params)
-    value_at_one = sum(c for _, c in pin.terms)
+    coeffs = kind.flat_coeffs(pin.params, pin.terms)
+    value_at_one = sum(coeffs)
     if pin.kind == "heisenberg":
-        f = pin.to_heisenberg()
-        fac = heisenberg_measure(f)
-        p, m = fac.p, fac.m
-        cong = check_measure_congruence(f, fac)
+        p = pin.params[0]
+        fac = heisenberg_measure(p, coeffs)
+        m = fac.m
+        cong = check_measure_congruence(p, coeffs, fac)
         coprime = math.gcd(m, p) == 1
         residue_ok = is_power_residue(m, p, 3) if coprime else None
         div_ok = None
         if not coprime:
-            div_ok = heisenberg_divisibility_check(f, fac).meets_bound
+            div_ok = heisenberg_divisibility_check(p, coeffs, fac).meets_bound
         checks = {
             "congruence_mod_p3": cong.holds,
             "coprime_residue": residue_ok,
@@ -136,7 +137,7 @@ def _cmd_compute(ns):
             "all_checks_pass": ok,
         }
         return results, 0 if ok else 1, None, _digest(data)
-    m = exact(kind.flat_coeffs(pin.params, pin.terms))
+    m = exact(coeffs)
     q = kind.base_prime(pin.params)
     results = {
         "group": group,
@@ -184,7 +185,7 @@ def _cmd_verify(ns):
     for _ in range(ns.trials):
         if ns.check == "congruence":
             f = random_heisenberg_poly(rng, ns.p, ns.height)
-            ok = check_measure_congruence(f).holds
+            ok = check_measure_congruence(ns.p, f).holds
         elif ns.check == "lemma1":
             coeffs = [rng.randint(-ns.height, ns.height) for _ in range(ns.p)]
             ok = check_power_sum_congruence(coeffs, ns.p)
@@ -217,7 +218,7 @@ def _cmd_achieve(ns):
         "computed": str(value),
         "verified": verified,
         "terms": [{"exps": list(e), "coef": str(c)}
-                  for e, c in poly.nonzero_terms()],
+                  for e, c in KINDS["heisenberg"].terms((ns.p,), poly)],
     }
     echo = {"cmd": "achieve", "p": ns.p, "a": ns.a, "m": ns.m}
     return results, 0 if verified else 1, None, _echo_digest(echo)

@@ -6,7 +6,10 @@ of elements by exponent tuples for the generators of each supported kind
 dicyclic).  The table route is the slow, obviously-correct oracle that the
 factorized determinant formulas are checked against.  ``KINDS`` maps each
 kind name to what the package knows about it: parameters, labels, label
-product and exact route.
+product and exact route.  An element of the group ring of any kind, the
+Heisenberg polynomials included, is one flat coefficient vector in label
+order: ``GroupKind.flat_coeffs`` places terms into it and
+``GroupKind.terms`` lists them back.
 """
 
 from __future__ import annotations
@@ -88,6 +91,14 @@ class GroupKind:
                 raise InvalidParameter(f"need {len(moduli)} exponents, got {len(exps)}")
             coeffs[index[tuple(map(mod, exps, moduli))]] += int(c)
         return coeffs
+
+    def terms(self, params, coeffs) -> list:
+        """Inverse of ``flat_coeffs``: the nonzero (label, coefficient)
+        pairs of a coefficient vector, in ``labels`` order."""
+        labels = self.labels(params)
+        if len(coeffs) != len(labels):
+            raise InvalidParameter(f"need {len(labels)} coefficients, got {len(coeffs)}")
+        return [(e, c) for e, c in zip(labels, coeffs) if c]
 
     def base_prime(self, params) -> int:
         """Smallest prime factor of the order: the modulus of the search
@@ -259,7 +270,7 @@ def _heisenberg_route(params):
     p = params[0]
     if p == 3:
         return "factorized", lambda c: measure_h3(c)
-    return "factorized", lambda c: heisenberg_measure(HeisenbergPoly.from_flat(p, c)).m
+    return "factorized", lambda c: heisenberg_measure(p, c).m
 
 
 def _dihedral_route(params):
@@ -356,10 +367,6 @@ class GroupRingElt:
                 out[mul[g][j]] += c
         return GroupRingElt(self.group, out)
 
-    def nonzero_terms(self):
-        return [(self.group.element_exps[i], c)
-                for i, c in enumerate(self.coeffs) if c]
-
 
 def cayley_matrix(f: GroupRingElt):
     """The order x order matrix with entry (i, j) = coeff at g_i * g_j^(-1)."""
@@ -381,79 +388,13 @@ def group_determinant(f: GroupRingElt, max_order: int = MAX_ORACLE_ORDER) -> int
     return det_int(cayley_matrix(f))
 
 
-# -- Heisenberg polynomials ---------------------------------------------
+# -- Heisenberg words ----------------------------------------------------
 
 
-class HeisenbergPoly:
-    """Coefficients a[i][j][k] of sum a_ijk x^i y^j z^k over the order-p^3
-    Heisenberg group, with x the off-center generator, z the central one,
-    and monomials in the normal-form order x then y then z."""
-
-    __slots__ = ("p", "a")
-
-    def __init__(self, p: int, a=None):
-        if not is_prime(p) or p == 2:
-            raise InvalidParameter(f"need an odd prime, got {p}")
-        self.p = p
-        if a is None:
-            self.a = [[[0] * p for _ in range(p)] for _ in range(p)]
-        else:
-            self.a = [[[int(a[i][j][k]) for k in range(p)] for j in range(p)]
-                      for i in range(p)]
-
-    @classmethod
-    def from_terms(cls, p: int, terms) -> "HeisenbergPoly":
-        out = cls(p)
-        for (i, j, k), c in terms:
-            out.a[i % p][j % p][k % p] += int(c)
-        return out
-
-    @classmethod
-    def from_flat(cls, p: int, coeffs) -> "HeisenbergPoly":
-        """Inverse of flat(): a[i][j][k] is coeffs[(i * p + j) * p + k]."""
-        out = cls(p)
-        idx = 0
-        for plane in out.a:
-            for row in plane:
-                for k in range(p):
-                    row[k] = coeffs[idx]
-                    idx += 1
-        return out
-
-    def coef(self, i: int, j: int, k: int) -> int:
-        return self.a[i % self.p][j % self.p][k % self.p]
-
-    def add_term(self, i: int, j: int, k: int, c: int) -> None:
-        self.a[i % self.p][j % self.p][k % self.p] += c
-
-    def x_slice(self, i: int):
-        """Coefficient grid [y-exp][z-exp] of the x^i part."""
-        return self.a[i]
-
-    def collapse_z(self):
-        """Coefficients of F(x, y, 1) as a grid [x-exp][y-exp]."""
-        p = self.p
-        return [[sum(self.a[i][j]) for j in range(p)] for i in range(p)]
-
-    def value_at_one(self) -> int:
-        return sum(sum(sum(r) for r in plane) for plane in self.a)
-
-    def flat(self) -> list:
-        return [self.a[i][j][k] for i in range(self.p)
-                for j in range(self.p) for k in range(self.p)]
-
-    def nonzero_terms(self):
-        return [((i, j, k), self.a[i][j][k])
-                for i in range(self.p) for j in range(self.p)
-                for k in range(self.p) if self.a[i][j][k]]
-
-    def __eq__(self, other):
-        return (isinstance(other, HeisenbergPoly)
-                and self.p == other.p and self.a == other.a)
-
-
-def heisenberg_normal_form(terms, p: int) -> HeisenbergPoly:
-    """Fold words in the generators into normal-form coefficients.
+def heisenberg_normal_form(terms, p: int) -> list:
+    """Fold words in the generators into normal-form coefficients: the
+    vector ``KINDS["heisenberg"].flat_coeffs((p,), ...)`` gives, with the
+    coefficient of x^i y^j z^k at (i * p + j) * p + k.
 
     Each term is (word, coefficient) where a word is a string like
     "yx", "x^2z", "y^-1x" (letters x, y, z with optional integer
@@ -461,7 +402,9 @@ def heisenberg_normal_form(terms, p: int) -> HeisenbergPoly:
     right under yx = xyz with z central, so e.g. "yx" lands on the
     monomial x y z.
     """
-    out = HeisenbergPoly(p)
+    spec = KINDS["heisenberg"]
+    spec.check((p,))
+    placed = []
     for word, c in terms:
         triple = (0, 0, 0)
         for gen, e in _parse_word(word):
@@ -472,8 +415,8 @@ def heisenberg_normal_form(terms, p: int) -> HeisenbergPoly:
             else:
                 step = (0, 0, e % p)
             triple = _heisenberg_mul((p,), triple, step)
-        out.add_term(triple[0], triple[1], triple[2], int(c))
-    return out
+        placed.append((triple, c))
+    return spec.flat_coeffs((p,), placed)
 
 
 def _parse_word(word: str):
@@ -513,11 +456,6 @@ class PolyInput:
     kind: str
     params: tuple
     terms: list  # [(exps tuple, int coef), ...]
-
-    def to_heisenberg(self) -> HeisenbergPoly:
-        if self.kind != "heisenberg":
-            raise InvalidParameter(f"polynomial is over {self.kind}, not heisenberg")
-        return HeisenbergPoly.from_terms(self.params[0], self.terms)
 
 
 def poly_from_json(text: str) -> PolyInput:

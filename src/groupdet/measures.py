@@ -3,8 +3,10 @@
 One character product (``abelian_measure``) for (Z_p)^n, which
 ``char_product_2d`` feeds a Z_p x Z_p coefficient grid (the abelian
 part M1 of the order-p^3 Heisenberg factorization M = M1 * M2^p and
-the Z_p x Z_p checks), the binomial two-product shortcut, and one
-twisted circulant (``circulant_det``, modulo x^n - 1 or x^n + 1) for
+the Z_p x Z_p checks), the Heisenberg block factorization on the flat
+label-order coefficient vector that ``KINDS["heisenberg"].flat_coeffs``
+gives, the binomial two-product shortcut, and one twisted circulant
+(``circulant_det``, modulo x^n - 1 or x^n + 1) for
 the cyclic, dihedral and dicyclic routes, eliminated by
 ``exactdet.det_int`` (Bareiss for small n, certified multimodular
 above).  Every path returns exact integers and is cross-checked against
@@ -17,15 +19,11 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import getitem, itemgetter, mul
-from typing import TYPE_CHECKING, Optional
 
 from .cyclotomic import CycInt, eval_bivariate_at_roots
 from .errors import InvalidParameter, NotInteger
 from .exactdet import det_bareiss, det_int, is_prime
 from .polyring import IntPoly
-
-if TYPE_CHECKING:  # groups imports this module for its exact routes
-    from .groups import HeisenbergPoly
 
 
 def certified_int_product(values) -> int:
@@ -96,37 +94,37 @@ def abelian_measure(moduli, coeffs) -> int:
 
 @dataclass
 class HeisenbergFactorization:
-    """Exact factorization M = m1 * m2**p of a Heisenberg determinant.
-
-    d_values holds the p - 1 nonabelian block determinants (cyclotomic
-    integers whose product is m2); fourier_coeffs, when requested, are
-    the coefficients c_0..c_{p-1} with p * c(y) = sum over p-th roots t
-    of F(t, y, 1)'s circulant product, reduced mod y^p - 1.
-    """
+    """Exact factorization M = m1 * m2**p of a Heisenberg determinant."""
 
     p: int
     m1: int
     m2: int
     m: int
-    d_values: tuple
-    fourier_coeffs: Optional[tuple] = None
-
-    @property
-    def c0(self) -> Optional[int]:
-        return None if self.fourier_coeffs is None else self.fourier_coeffs[0]
 
 
-def heisenberg_phi_matrix(f: HeisenbergPoly, j: int):
+def _heisenberg_rows(p: int, coeffs) -> list:
+    """The coefficient vector of F = sum a_ijk x^i y^j z^k over the
+    order-p^3 Heisenberg group, a_ijk at (i * p + j) * p + k as
+    ``KINDS["heisenberg"].flat_coeffs`` places it, cut into its p^2 rows
+    [a_ij0, ..., a_ij(p-1)], row i * p + j.  Checks p and the length."""
+    if not is_prime(p) or p == 2:
+        raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
+    if len(coeffs) != p ** 3:
+        raise InvalidParameter(f"need {p ** 3} coefficients, got {len(coeffs)}")
+    return [coeffs[r:r + p] for r in range(0, p ** 3, p)]
+
+
+def heisenberg_phi_matrix(p: int, coeffs, j: int):
     """The p x p block of the irreducible representation indexed by w^j.
 
     With F = sum_i x^i f_i(y, z), entry (r, c) (0-indexed) is
     f_{(r-c) mod p}(w^{j c}, w^j): x acts as the cyclic row shift, y as
     the diagonal of powers of w^j, and z as the scalar w^j.
     """
-    p = f.p
-    slices = [f.x_slice(i) for i in range(p)]
-    # evaluate each slice at every needed y-power once
-    evals = [[eval_bivariate_at_roots(slices[i], (j * c) % p, j, p)
+    rows = _heisenberg_rows(p, coeffs)
+    # evaluate each x-slice (rows i * p .. i * p + p - 1, [y-exp][z-exp])
+    # at every needed y-power once
+    evals = [[eval_bivariate_at_roots(rows[i * p:(i + 1) * p], (j * c) % p, j, p)
               for c in range(p)] for i in range(p)]
     return [[evals[(r - c) % p][c] for c in range(p)] for r in range(p)]
 
@@ -140,30 +138,32 @@ def _factorization(p: int, m1: int, block: CycInt) -> HeisenbergFactorization:
     arithmetic, not the identity D(w^j) = D(w).galois(j).  At run time
     that identity is checked only through M: ``compute`` tests the
     congruence M = F(1,1,1)^(p^3) mod p^3, and
-    ``test_block_values_are_the_conjugates_of_one_block`` compares each
-    conjugate with its own elimination."""
+    ``test_block_values_are_the_conjugates_of_one_block`` eliminates
+    every block and compares it with the matching conjugate of D(w)."""
     m2 = block.norm()
-    return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p,
-                                   d_values=tuple(block.galois(j) for j in range(1, p)))
+    return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p)
 
 
-def heisenberg_measure(f: HeisenbergPoly, want_c0: bool = False) -> HeisenbergFactorization:
-    """Exact determinant of F over the order-p^3 Heisenberg group.
+def _z_collapse(p: int, coeffs) -> list:
+    """Coefficients of F(x, y, 1) as a grid [x-exp][y-exp]."""
+    sums = list(map(sum, _heisenberg_rows(p, coeffs)))
+    return [sums[i:i + p] for i in range(0, p * p, p)]
+
+
+def heisenberg_measure(p: int, coeffs) -> HeisenbergFactorization:
+    """Exact determinant of F over the order-p^3 Heisenberg group, F
+    given by its coefficient vector (a_ijk at (i * p + j) * p + k).
 
     m1 is the abelian part (the determinant of F(x, y, 1) over Z_p x Z_p);
     m2 is the product of the p - 1 nonabelian p x p block determinants
     D(w^j).  The full value is m1 * m2**p.  Only D(w) is eliminated; the
     other blocks are its Galois conjugates and m2 is its norm.
     """
-    p = f.p
-    m1 = char_product_2d(f.collapse_z(), p)
-    fac = _factorization(p, m1, det_bareiss(heisenberg_phi_matrix(f, 1)))
-    if want_c0:
-        fac.fourier_coeffs = heisenberg_fourier_coeffs(f)
-    return fac
+    m1 = char_product_2d(_z_collapse(p, coeffs), p)
+    return _factorization(p, m1, det_bareiss(heisenberg_phi_matrix(p, coeffs, 1)))
 
 
-def heisenberg_fourier_coeffs(f: HeisenbergPoly) -> tuple:
+def heisenberg_fourier_coeffs(p: int, coeffs) -> tuple:
     """Coefficients c_0..c_{p-1} of the averaged circulant product.
 
     The product of F(t, y, 1) over p-th roots of unity t equals the
@@ -172,9 +172,7 @@ def heisenberg_fourier_coeffs(f: HeisenbergPoly) -> tuple:
     polynomial all of whose non-constant coefficients are divisible by p
     and whose constant term drives the mod-p^3 congruence.
     """
-    p = f.p
-    grid = f.collapse_z()  # [x-exp][y-exp]
-    g = [IntPoly(grid[i]) for i in range(p)]
+    g = [IntPoly(row) for row in _z_collapse(p, coeffs)]
     rows = [[g[(r - c) % p] for c in range(p)] for r in range(p)]
     det = det_bareiss(rows)
     return tuple(det.fold(p).padded(p))
@@ -298,10 +296,8 @@ _H3_EXPS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
 
 
 def measure_h3(coeffs) -> int:
-    """heisenberg_measure(...).m for p = 3, on a flat 27-vector.
-
-    Index order matches HeisenbergPoly.flat(): a[i][j][k] at 9i + 3j + k.
-    """
+    """heisenberg_measure(3, coeffs).m on the flat 27-vector, in the
+    Heisenberg label order: a_ijk at 9i + 3j + k."""
     # abelian part: product over 9 characters of F(w^i, w^j, 1)
     m1num = (0, 0)
     first = True

@@ -145,11 +145,6 @@ class _Collector:
             self.best = other.best
 
 
-def _witness_terms(cfg: SearchConfig, coeffs) -> list:
-    labels = kind_of(cfg.kind).labels(cfg.params)
-    return [(labels[i], c) for i, c in enumerate(coeffs) if c]
-
-
 def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:
     """Exhaustively evaluate the shard with the leading coefficient fixed."""
     kind = kind_of(cfg.kind)
@@ -199,7 +194,7 @@ def _result_from_collector(cfg: SearchConfig, col: _Collector) -> SearchResult:
     minval = None
     if col.best is not None:
         minval = col.best[1]
-        witness = _witness_terms(cfg, col.best[2])
+        witness = kind_of(cfg.kind).terms(cfg.params, col.best[2])
     return SearchResult(config=cfg, evaluations=col.evaluations,
                         min_nontrivial=minval, witness=witness,
                         attained_values=sorted(col.values),
@@ -288,7 +283,7 @@ def lambda_heisenberg(p: int) -> dict:
             if abs(value) != min_x:
                 continue
             witness = {"a": a, "m": r // pc, "value": value,
-                       "terms": poly.nonzero_terms()}
+                       "terms": kind_of("heisenberg").terms((p,), poly)}
             break
         if witness:
             break

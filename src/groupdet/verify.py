@@ -2,8 +2,11 @@
 
 Each function either checks a congruence/divisibility statement on a
 concrete polynomial or constructs the explicit family that witnesses
-sharpness of a bound.  Everything is exact integer arithmetic; reports
-carry both sides of each congruence so failures are inspectable.
+sharpness of a bound.  A polynomial over the order-p^3 Heisenberg group
+is its coefficient vector in label order, a_ijk at (i * p + j) * p + k,
+as ``KINDS["heisenberg"].flat_coeffs`` places it.  Everything is exact
+integer arithmetic; reports carry both sides of each congruence so
+failures are inspectable.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional
 
 from .errors import InexactDivision, InvalidParameter, PreconditionViolated
 from .exactdet import is_prime
-from .groups import HeisenbergPoly
+from .groups import KINDS
 from .measures import (
     HeisenbergFactorization,
     char_product_2d,
@@ -64,16 +67,15 @@ class CongruenceReport:
     holds: bool
 
 
-def check_measure_congruence(f: HeisenbergPoly,
+def check_measure_congruence(p: int, coeffs,
                              fac: Optional[HeisenbergFactorization] = None
                              ) -> CongruenceReport:
-    """Verify that the determinant of F over the order-p^3 Heisenberg
-    group is congruent to F(1,1,1)^(p^3) mod p^3."""
-    p = f.p
+    """Verify that the determinant of F (its coefficient vector) over the
+    order-p^3 Heisenberg group is congruent to F(1,1,1)^(p^3) mod p^3."""
     if fac is None:
-        fac = heisenberg_measure(f)
+        fac = heisenberg_measure(p, coeffs)
     modulus = p ** 3
-    base = f.value_at_one()
+    base = sum(coeffs)
     lhs = fac.m % modulus
     rhs = pow(base, p ** 3, modulus)
     return CongruenceReport(p=p, m=fac.m, base=base, modulus=modulus,
@@ -95,8 +97,11 @@ def achieve_construction(a: int, m: int, p: int):
         F = (1 + z + ... + z^(a-1)) + g(y) Phi(z) + h(x) Phi(y) Phi(z)
             + m Phi(x) Phi(y) Phi(z)
 
-    with Phi the (1 + t + ... + t^(p-1)) factor.  Returns (F, value)
-    with the value computed by the factorized route.
+    with Phi the (1 + t + ... + t^(p-1)) factor.  Returns (F, value):
+    F as its coefficient vector, the value by the factorized route.
+    Modulo t^p - 1, 1 + t + ... + t^(a-1) is the p counts of the
+    exponents below a in each residue class, so the cost does not grow
+    with a.
     """
     if a < 1:
         raise InvalidParameter(f"need a >= 1, got {a}")
@@ -104,7 +109,8 @@ def achieve_construction(a: int, m: int, p: int):
         raise InvalidParameter(f"need an odd prime, got {p}")
     if a % p == 0:
         raise PreconditionViolated(f"a = {a} must be coprime to p = {p}")
-    step = pow_fold_cyclic([1] * a, p, p)
+    counts = [(a - r + p - 1) // p for r in range(p)]
+    step = pow_fold_cyclic(counts, p, p)
     g = []
     for i, c in enumerate(step):
         c = c - a if i == 0 else c
@@ -122,22 +128,13 @@ def achieve_construction(a: int, m: int, p: int):
         if r:
             raise InexactDivision("(a + p g)^p - a^p is not divisible by p^2")
         h.append(q)
-    F = HeisenbergPoly(p)
-    for c in range(a):
-        F.add_term(0, 0, c, 1)
-    for j, gj in enumerate(g):
-        for k in range(p):
-            F.add_term(0, j, k, gj)
-    for i, hi in enumerate(h):
-        for j in range(p):
-            for k in range(p):
-                F.add_term(i, j, k, hi)
-    if m:
-        for i in range(p):
-            for j in range(p):
-                for k in range(p):
-                    F.add_term(i, j, k, m)
-    return F, heisenberg_measure(F).m
+    spec = KINDS["heisenberg"]
+    terms = [((0, 0, k), n) for k, n in enumerate(counts)]
+    terms += [((0, j, k), gj) for j, gj in enumerate(g) for k in range(p)]
+    terms += [((i, j, k), hi) for i, hi in enumerate(h) for j in range(p) for k in range(p)]
+    terms += [(e, m) for e in spec.labels((p,))]
+    F = spec.flat_coeffs((p,), terms)
+    return F, heisenberg_measure(p, F).m
 
 
 # -- sharp divisibility bounds ---------------------------------------------
@@ -204,14 +201,13 @@ def zp2_sharp_family(p: int, k: int = 0, units=(1, 1, 1)):
                                  exact=v == expected)
 
 
-def heisenberg_divisibility_check(f: HeisenbergPoly,
+def heisenberg_divisibility_check(p: int, coeffs,
                                   fac: Optional[HeisenbergFactorization] = None
                                   ) -> SharpnessReport:
     """Over the order-p^3 Heisenberg group: if p divides the determinant
-    then p^(p^2+3) does."""
-    p = f.p
+    of F (its coefficient vector) then p^(p^2+3) does."""
     if fac is None:
-        fac = heisenberg_measure(f)
+        fac = heisenberg_measure(p, coeffs)
     m = fac.m
     expected = p * p + 3
     v = p_valuation(m, p)
@@ -243,13 +239,10 @@ def heisenberg_sharp_family(p: int):
     base whose Fermat quotient is nonzero; its determinant over the
     order-p^3 Heisenberg group has p-valuation exactly p^2 + 3."""
     a = smallest_non_fermat_base(p)
-    f = HeisenbergPoly(p)
     s = (a - 1) ** 2
-    f.add_term(0, 0, 0, p + s - 1)
-    f.add_term(1, 0, 0, -s)
-    f.add_term(0, 1, 0, 2)
-    f.add_term(0, 2, 0, -1)
-    fac = heisenberg_measure(f)
+    f = KINDS["heisenberg"].flat_coeffs(
+        (p,), [((0, 0, 0), p + s - 1), ((1, 0, 0), -s), ((0, 1, 0), 2), ((0, 2, 0), -1)])
+    fac = heisenberg_measure(p, f)
     v = p_valuation(fac.m, p)
     expected = p * p + 3
     return f, SharpnessReport(family="heisenberg-sharp", p=p, k=0,
@@ -265,7 +258,7 @@ def heisenberg_sharp_family(p: int):
 class FamilyValue:
     label: str
     m: int
-    poly: HeisenbergPoly
+    poly: list
     claimed: int
     computed: int
     matches: bool
@@ -303,14 +296,12 @@ _H3_FAMILY_TERMS = {
 
 
 def h3_family_polys(m: int) -> list:
-    """The five explicit order-27 families at shift m (terms include the
-    m * Phi(x) Phi(y) Phi(z) part)."""
-    out = []
-    for label, (terms, _) in _H3_FAMILY_TERMS.items():
-        t = list(terms) + [((i, j, k), m)
-                           for i in range(3) for j in range(3) for k in range(3)]
-        out.append((label, HeisenbergPoly.from_terms(3, t)))
-    return out
+    """The five explicit order-27 families at shift m, as coefficient
+    vectors (terms include the m * Phi(x) Phi(y) Phi(z) part)."""
+    spec = KINDS["heisenberg"]
+    shift = [(e, m) for e in spec.labels((3,))]
+    return [(label, spec.flat_coeffs((3,), terms + shift))
+            for label, (terms, _) in _H3_FAMILY_TERMS.items()]
 
 
 def h3_family_values(m: int) -> list:
@@ -320,7 +311,7 @@ def h3_family_values(m: int) -> list:
     out = []
     for (label, poly), (_, (_, claim)) in zip(h3_family_polys(m),
                                               _H3_FAMILY_TERMS.items()):
-        computed = heisenberg_measure(poly).m
+        computed = heisenberg_measure(3, poly).m
         claimed = claim(m)
         out.append(FamilyValue(label=label, m=m, poly=poly, claimed=claimed,
                                computed=computed, matches=computed == claimed))
@@ -410,17 +401,11 @@ def _newton_power_sums(e, count: int) -> list:
 # -- randomized instances ---------------------------------------------------
 
 
-def random_heisenberg_poly(rng, p: int, height: int) -> HeisenbergPoly:
-    """Uniform random polynomial over the order-p^3 group: each of the
-    p^3 coefficients drawn independently from [-height, height]."""
-    f = HeisenbergPoly(p)
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                c = rng.randint(-height, height)
-                if c:
-                    f.add_term(i, j, k, c)
-    return f
+def random_heisenberg_poly(rng, p: int, height: int) -> list:
+    """Uniform random polynomial over the order-p^3 group, as its
+    coefficient vector: each of the p^3 coefficients drawn independently
+    from [-height, height], in label order."""
+    return [rng.randint(-height, height) for _ in range(p ** 3)]
 
 
 def random_symmetric_instance(rng, p: int, height: int) -> list:

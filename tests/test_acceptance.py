@@ -16,7 +16,6 @@ import pytest
 
 from acceptance_log import record
 from groupdet import (
-    HeisenbergPoly,
     LaurentPoly,
     SearchConfig,
     achieve_construction,
@@ -41,7 +40,7 @@ from groupdet import (
     zp2_divisibility_check,
     zp2_sharp_family,
 )
-from groupdet.groups import GroupRingElt, build_group
+from groupdet.groups import KINDS, GroupRingElt, build_group
 
 LEHMER_LOG = 0.16235761200773813943
 
@@ -63,10 +62,10 @@ def test_criterion_01_factorized_route_equals_cayley_oracle():
         for p, trials in ((3, 300), (5, 20)):
             for _ in range(trials):
                 f = random_heisenberg_poly(rng, p, 5)
-                fac = heisenberg_measure(f)
+                fac = heisenberg_measure(p, f)
                 assert fac.m == fac.m1 * fac.m2 ** p
                 g = build_group("heisenberg", p)
-                assert fac.m == group_determinant(GroupRingElt(g, f.flat()))
+                assert fac.m == group_determinant(GroupRingElt(g, f))
                 _register(fac.m, p)
         assert time.perf_counter() - t0 < 60.0
         ok = True
@@ -81,7 +80,7 @@ def test_criterion_02_determinant_congruence_mod_p3():
         rng = random.Random(202)
         for p in (3, 5):
             for _ in range(500):
-                rep = check_measure_congruence(random_heisenberg_poly(rng, p, 5))
+                rep = check_measure_congruence(p, random_heisenberg_poly(rng, p, 5))
                 assert rep.holds
                 assert rep.lhs_residue == rep.rhs_residue
                 _register(rep.m, p)
@@ -100,7 +99,7 @@ def test_criterion_03_constructed_determinants_are_exact():
                 for m in range(-3, 4):
                     f, value = achieve_construction(a, m, p)
                     assert value == a ** (p * p) + m * p3
-                    assert heisenberg_measure(f).m == value
+                    assert heisenberg_measure(p, f).m == value
                     _register(value, p)
         ok = True
     finally:
@@ -119,9 +118,9 @@ def test_criterion_04_five_order_27_families_match_closed_forms():
             assert [v.claimed for v in vals] == claims
             assert all(v.matches for v in vals)
             for label, poly in h3_family_polys(m):
-                neg = HeisenbergPoly.from_terms(
-                    3, [(e, -c) for e, c in poly.nonzero_terms()])
-                assert heisenberg_measure(neg).m == -heisenberg_measure(poly).m
+                neg = KINDS["heisenberg"].flat_coeffs(
+                    (3,), [(e, -c) for e, c in KINDS["heisenberg"].terms((3,), poly)])
+                assert heisenberg_measure(3, neg).m == -heisenberg_measure(3, poly).m
         ok = True
     finally:
         record(4, "five explicit order-27 families reproduce their "
@@ -160,8 +159,8 @@ def test_criterion_06_heisenberg_divisibility_and_p5_sharpness():
         rng = random.Random(606)
         for _ in range(200):
             f = random_heisenberg_poly(rng, 3, 4)
-            f.add_term(0, 0, 0, -f.value_at_one() % 3)
-            rep = heisenberg_divisibility_check(f)
+            f[0] += -sum(f) % 3
+            rep = heisenberg_divisibility_check(3, f)
             assert rep.applicable
             assert rep.meets_bound
             assert rep.value == 0 or rep.actual_valuation >= 12
@@ -306,7 +305,7 @@ def test_criterion_07_coprime_values_satisfy_residue_classification():
             for p, trials in ((3, 60), (5, 15)):
                 for _ in range(trials):
                     _register(heisenberg_measure(
-                        random_heisenberg_poly(rng, p, 3)).m, p)
+                        p, random_heisenberg_poly(rng, p, 3)).m, p)
         assert _COPRIME
         for m, p in _COPRIME:
             assert pow(m, p - 1, p ** 3) == 1

@@ -7,7 +7,6 @@ import pytest
 
 from groupdet import (
     GroupRingElt,
-    HeisenbergPoly,
     InvalidParameter,
     ParseError,
     build_group,
@@ -17,7 +16,9 @@ from groupdet import (
     poly_from_json,
     poly_to_json,
 )
-from groupdet.groups import KINDS, GroupSpec
+from groupdet.groups import KINDS, GroupSpec, check_oracle_order
+
+H3 = KINDS["heisenberg"]
 
 
 # -- construction ----------------------------------------------------------
@@ -150,10 +151,13 @@ def test_identity_element_determinant():
 
 
 def test_oracle_order_cap():
-    g = build_group("product", 5, 5, 5, 5)  # order 625 > the safety cap
-    f = GroupRingElt.from_terms(g, [((0, 0, 0, 0), 1)])
     with pytest.raises(InvalidParameter):
-        group_determinant(f)
+        check_oracle_order(625)  # product 5,5,5,5 is over the safety cap
+    g = build_group("cyclic", 3)
+    f = GroupRingElt.from_terms(g, [((0,), 1)])
+    with pytest.raises(InvalidParameter):
+        group_determinant(f, max_order=g.order - 1)
+    assert group_determinant(f, max_order=g.order) == 1
 
 
 def test_value_sum():
@@ -166,28 +170,27 @@ def test_value_sum():
 
 
 def test_heisenberg_poly_roundtrips():
-    f = HeisenbergPoly.from_terms(3, [((0, 0, 0), 1), ((1, 2, 1), -4),
-                                      ((4, -1, 3), 7)])
-    assert f.coef(1, 2, 0) == 7      # exponents reduced mod 3
-    assert f.coef(1, 2, 1) == -4
-    assert f.value_at_one() == 4
-    assert len(f.flat()) == 27
-    assert sum(f.flat()) == 4
-    assert set(f.nonzero_terms()) == {((0, 0, 0), 1), ((1, 2, 1), -4),
+    f = H3.flat_coeffs((3,), [((0, 0, 0), 1), ((1, 2, 1), -4),
+                              ((4, -1, 3), 7)])
+    assert f[(1 * 3 + 2) * 3 + 0] == 7      # exponents reduced mod 3
+    assert f[(1 * 3 + 2) * 3 + 1] == -4
+    assert sum(f) == 4
+    assert len(f) == 27
+    assert set(H3.terms((3,), f)) == {((0, 0, 0), 1), ((1, 2, 1), -4),
                                       ((1, 2, 0), 7)}
 
 
 def test_normal_form_single_swap():
     # yx = xyz, so the word "yx" is the monomial with all three exponents 1
     f = heisenberg_normal_form([("yx", 1)], 3)
-    assert f.nonzero_terms() == [((1, 1, 1), 1)]
+    assert H3.terms((3,), f) == [((1, 1, 1), 1)]
 
 
 def test_normal_form_double_swap():
     # y^2 x = x y^2 z^2
     f = heisenberg_normal_form([("yyx", 1)], 3)
-    assert f.nonzero_terms() == [((1, 2, 2), 1)]
-    assert heisenberg_normal_form([("y^2x", 1)], 3).nonzero_terms() == \
+    assert H3.terms((3,), f) == [((1, 2, 2), 1)]
+    assert H3.terms((3,), heisenberg_normal_form([("y^2x", 1)], 3)) == \
         [((1, 2, 2), 1)]
 
 
@@ -201,7 +204,7 @@ def test_normal_form_matches_group_multiplication():
              "xyzxyz", "y^2x^2z"]
     for word in words:
         f = heisenberg_normal_form([(word, 1)], 3)
-        (exps, c), = f.nonzero_terms()
+        (exps, c), = H3.terms((3,), f)
         idx = 0
         for gen, e in _parse_word(word):
             step = {"x": (e % 3, 0, 0), "y": (0, e % 3, 0), "z": (0, 0, e % 3)}[gen]
@@ -218,7 +221,7 @@ def test_normal_form_bad_word():
 
 def test_central_generator_commutes():
     f = heisenberg_normal_form([("zx", 1), ("xz", -1)], 3)
-    assert f.nonzero_terms() == []
+    assert H3.terms((3,), f) == []
 
 
 # -- JSON polynomial files --------------------------------------------------
@@ -319,8 +322,24 @@ def test_flat_coeffs_follow_the_built_labels(kind, params):
     assert spec.flat_coeffs(params, terms) == want
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("cyclic", (6,)), ("elementary", (3, 2)), ("product", (2, 3, 4)),
+    ("heisenberg", (3,)), ("dihedral", (10,)), ("dicyclic", (12,)),
+])
+def test_terms_invert_flat_coeffs(kind, params):
+    rng = random.Random(8)
+    spec = KINDS[kind]
+    g = build_group(kind, *params)
+    coeffs = [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(g.order)]
+    terms = spec.terms(params, coeffs)
+    assert terms == [(e, c) for e, c in zip(g.element_exps, coeffs) if c]
+    assert spec.flat_coeffs(params, terms) == coeffs
+    with pytest.raises(InvalidParameter, match=f"need {g.order} coefficients, got 1"):
+        spec.terms(params, [1])
+
+
 def test_heisenberg_flat_follows_the_group_labels():
-    f = HeisenbergPoly.from_terms(3, [((1, 1, 0), 2), ((0, 0, 2), -1)])
-    elt = GroupRingElt.from_terms(build_group("heisenberg", 3), f.nonzero_terms())
-    assert elt.coeffs == f.flat()
-    assert elt.value_sum() == f.value_at_one()
+    f = H3.flat_coeffs((3,), [((1, 1, 0), 2), ((0, 0, 2), -1)])
+    elt = GroupRingElt.from_terms(build_group("heisenberg", 3), H3.terms((3,), f))
+    assert elt.coeffs == f
+    assert elt.value_sum() == sum(f)

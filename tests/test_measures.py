@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from groupdet import (
     CycInt,
     GroupRingElt,
-    HeisenbergPoly,
+    InvalidParameter,
     NotInteger,
     abelian_measure,
     char_product_2d,
@@ -36,8 +36,12 @@ from groupdet.measures import certified_int_product
 from groupdet.verify import random_heisenberg_poly
 
 
-def _heisenberg_elt(f):
-    return GroupRingElt(build_group("heisenberg", f.p), f.flat())
+def _heisenberg_elt(p, f):
+    return GroupRingElt(build_group("heisenberg", p), f)
+
+
+def _heisenberg_poly(p, terms):
+    return KINDS["heisenberg"].flat_coeffs((p,), terms)
 
 
 # -- the group-kind table ---------------------------------------------------
@@ -122,9 +126,9 @@ def test_certified_product_refuses_non_integers():
 
 def test_block_matrix_of_central_generator():
     # F = z: every block is the scalar w^j
-    f = HeisenbergPoly.from_terms(3, [((0, 0, 1), 1)])
+    f = _heisenberg_poly(3, [((0, 0, 1), 1)])
     for j in (1, 2):
-        m = heisenberg_phi_matrix(f, j)
+        m = heisenberg_phi_matrix(3, f, j)
         for r in range(3):
             for c in range(3):
                 expect = CycInt.root(3, j) if r == c else CycInt.zero(3)
@@ -132,8 +136,8 @@ def test_block_matrix_of_central_generator():
 
 
 def test_block_matrix_of_x_is_the_shift():
-    f = HeisenbergPoly.from_terms(5, [((1, 0, 0), 1)])
-    m = heisenberg_phi_matrix(f, 2)
+    f = _heisenberg_poly(5, [((1, 0, 0), 1)])
+    m = heisenberg_phi_matrix(5, f, 2)
     for r in range(5):
         for c in range(5):
             expect = CycInt.one(5) if (r - c) % 5 == 1 else CycInt.zero(5)
@@ -142,8 +146,8 @@ def test_block_matrix_of_x_is_the_shift():
 
 def test_block_matrix_of_y_is_diagonal_of_powers():
     p, j = 5, 3
-    f = HeisenbergPoly.from_terms(p, [((0, 1, 0), 1)])
-    m = heisenberg_phi_matrix(f, j)
+    f = _heisenberg_poly(p, [((0, 1, 0), 1)])
+    m = heisenberg_phi_matrix(p, f, j)
     for r in range(p):
         for c in range(p):
             expect = CycInt.root(p, (j * c) % p) if r == c else CycInt.zero(p)
@@ -152,10 +156,10 @@ def test_block_matrix_of_y_is_diagonal_of_powers():
 
 @pytest.mark.parametrize("exps", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 def test_generators_have_unit_determinant(exps):
-    f = HeisenbergPoly.from_terms(3, [(exps, 1)])
-    fac = heisenberg_measure(f)
+    f = _heisenberg_poly(3, [(exps, 1)])
+    fac = heisenberg_measure(3, f)
     assert fac.m == 1
-    assert group_determinant(_heisenberg_elt(f)) == 1
+    assert group_determinant(_heisenberg_elt(3, f)) == 1
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -163,9 +167,9 @@ def test_factorization_matches_oracle(p):
     rng = random.Random(62 + p)
     for _ in range(25 if p == 3 else 5):
         f = random_heisenberg_poly(rng, p, 5)
-        fac = heisenberg_measure(f)
+        fac = heisenberg_measure(p, f)
         assert fac.m == fac.m1 * fac.m2 ** p
-        assert fac.m == group_determinant(_heisenberg_elt(f))
+        assert fac.m == group_determinant(_heisenberg_elt(p, f))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -176,12 +180,20 @@ def test_block_values_are_the_conjugates_of_one_block(p, data):
     # eliminated on its own must equal the matching Galois conjugate
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=p ** 3, max_size=p ** 3),
                        label="coeffs")
-    f = HeisenbergPoly.from_flat(p, coeffs)
-    fac = heisenberg_measure(f)
-    blocks = [det_bareiss(heisenberg_phi_matrix(f, j)) for j in range(1, p)]
+    fac = heisenberg_measure(p, coeffs)
+    blocks = [det_bareiss(heisenberg_phi_matrix(p, coeffs, j)) for j in range(1, p)]
     for j in range(1, p):
-        assert fac.d_values[j - 1] == blocks[j - 1]
+        assert blocks[0].galois(j) == blocks[j - 1]
     assert fac.m2 == certified_int_product(blocks)
+
+
+def test_heisenberg_routes_check_p_and_length():
+    for fn in (heisenberg_measure, heisenberg_fourier_coeffs,
+               lambda p, c: heisenberg_phi_matrix(p, c, 1)):
+        with pytest.raises(InvalidParameter, match="needs an odd prime, got 2"):
+            fn(2, [1] * 8)
+        with pytest.raises(InvalidParameter, match="need 27 coefficients, got 26"):
+            fn(3, [1] * 26)
 
 
 def test_x_free_input_reduces_to_character_product():
@@ -191,9 +203,9 @@ def test_x_free_input_reduces_to_character_product():
     p = 3
     for _ in range(20):
         grid = [[rng.randint(-4, 4) for _ in range(p)] for _ in range(p)]
-        f = HeisenbergPoly.from_terms(
+        f = _heisenberg_poly(
             p, [((0, j, k), grid[j][k]) for j in range(p) for k in range(p)])
-        assert heisenberg_measure(f).m == char_product_2d(grid, p) ** p
+        assert heisenberg_measure(p, f).m == char_product_2d(grid, p) ** p
 
 
 def test_char_product_2d_places_ragged_grids_mod_p():
@@ -216,7 +228,7 @@ def test_binomial_example_value():
     fac = heisenberg_binomial_measure([[0, 1]], [[0], [1]], 1, 3)
     assert fac.m == 512
     full = heisenberg_measure(
-        HeisenbergPoly.from_terms(3, [((0, 0, 1), 1), ((1, 1, 0), 1)]))
+        3, _heisenberg_poly(3, [((0, 0, 1), 1), ((1, 1, 0), 1)]))
     assert (full.m, full.m1, full.m2) == (fac.m, fac.m1, fac.m2)
 
 
@@ -229,7 +241,7 @@ def test_binomial_matches_generic_route(p, k):
         terms = [((0, j, kk), f0[j][kk]) for j in range(p) for kk in range(p)]
         terms += [((k, j, kk), fk[j][kk]) for j in range(p) for kk in range(p)]
         fac_short = heisenberg_binomial_measure(f0, fk, k, p)
-        fac_full = heisenberg_measure(HeisenbergPoly.from_terms(p, terms))
+        fac_full = heisenberg_measure(p, _heisenberg_poly(p, terms))
         assert fac_short.m == fac_full.m
         assert fac_short.m1 == fac_full.m1
         assert fac_short.m2 == fac_full.m2
@@ -239,14 +251,13 @@ def test_binomial_reduces_exponents_mod_p():
     # at p = 3, f0 = z + y^4 z^3 is z + y and fk = 2 z^4 is 2 z
     fac = heisenberg_binomial_measure([[0, 1], [], [], [0, 0, 0, 0], [0, 0, 0, 1]],
                                       [[0, 0, 0, 0, 2]], 1, 3)
-    full = heisenberg_measure(HeisenbergPoly.from_terms(
+    full = heisenberg_measure(3, _heisenberg_poly(
         3, [((0, 0, 1), 1), ((0, 1, 0), 1), ((1, 0, 1), 2)]))
     assert full.m != 0
     assert (fac.m, fac.m1, fac.m2) == (full.m, full.m1, full.m2)
 
 
 def test_binomial_rejects_bad_exponent():
-    from groupdet import InvalidParameter
     with pytest.raises(InvalidParameter):
         heisenberg_binomial_measure([[1]], [[1]], 0, 3)
     with pytest.raises(InvalidParameter):
@@ -261,17 +272,18 @@ def test_fourier_coefficients_carry_the_congruences(p):
     rng = random.Random(65 + p)
     for _ in range(15):
         f = random_heisenberg_poly(rng, p, 4)
-        fac = heisenberg_measure(f, want_c0=True)
-        cs = fac.fourier_coeffs
+        fac = heisenberg_measure(p, f)
+        cs = heisenberg_fourier_coeffs(p, f)
+        c0 = cs[0]
         assert len(cs) == p
         # non-constant coefficients are all divisible by p
         assert all(c % p == 0 for c in cs[1:])
         # the constant one reduces to F(1,1,1)^p mod p
-        assert fac.c0 % p == pow(f.value_at_one(), p, p)
+        assert c0 % p == pow(sum(f), p, p)
         # and the nonabelian factor is c0^(p-1) mod p^2
-        assert fac.m2 % p ** 2 == pow(fac.c0, p - 1, p ** 2)
+        assert fac.m2 % p ** 2 == pow(c0, p - 1, p ** 2)
         # their product over all blocks: M2^p = c0^(p(p-1)) mod p^3
-        assert fac.m2 ** p % p ** 3 == pow(fac.c0, p * (p - 1), p ** 3)
+        assert fac.m2 ** p % p ** 3 == pow(c0, p * (p - 1), p ** 3)
 
 
 def test_fourier_sum_is_the_circulant_value():
@@ -281,9 +293,9 @@ def test_fourier_sum_is_the_circulant_value():
     p = 3
     for _ in range(10):
         f = random_heisenberg_poly(rng, p, 4)
-        cs = heisenberg_fourier_coeffs(f)
-        grid = f.collapse_z()
-        h = [sum(row) for row in grid]  # F(x, 1, 1) coefficients
+        cs = heisenberg_fourier_coeffs(p, f)
+        # F(x, 1, 1) coefficients
+        h = [sum(f[i * p * p:(i + 1) * p * p]) for i in range(p)]
         assert sum(cs) == circulant_det(h, p)
 
 
@@ -367,12 +379,12 @@ def test_fast_kernel_matches_generic():
     rng = random.Random(70)
     for _ in range(300):
         flat = [rng.randint(-5, 5) for _ in range(27)]
-        f = HeisenbergPoly.from_terms(
+        f = _heisenberg_poly(
             3, [((i, j, k), flat[9 * i + 3 * j + k])
                 for i in range(3) for j in range(3) for k in range(3)])
-        assert measure_h3(flat) == heisenberg_measure(f).m
+        assert measure_h3(flat) == heisenberg_measure(3, f).m
 
 
 def test_fast_kernel_flat_order_matches_poly_flat():
-    f = HeisenbergPoly.from_terms(3, [((1, 2, 0), 4), ((0, 0, 1), -2)])
-    assert measure_h3(f.flat()) == heisenberg_measure(f).m
+    f = _heisenberg_poly(3, [((1, 2, 0), 4), ((0, 0, 1), -2)])
+    assert measure_h3(f) == heisenberg_measure(3, f).m
