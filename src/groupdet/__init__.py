@@ -79,6 +79,7 @@ from .search import (
 from ._roots import polynomial_roots
 from .mahler import (
     LaurentPoly,
+    LimitMeasure,
     d_infinity_h_fourcomponent,
     d_infinity_h_measure,
     d_infinity_measure,

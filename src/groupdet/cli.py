@@ -343,25 +343,20 @@ def _cmd_lambda(ns):
 def _cmd_measure(ns):
     terms_f = parse_poly(ns.f)
     terms_g = parse_poly(ns.g)
+    results = {"measure": ns.which, "f": ns.f, "g": ns.g}
     if ns.which == "heis":
         if ns.points < 1:
             raise InvalidParameter(f"--points must be >= 1, got {ns.points}")
-        value = heisenberg_infinite_measure(bivariate_yz(terms_f),
+        limit = heisenberg_infinite_measure(bivariate_yz(terms_f),
                                             bivariate_yz(terms_g),
                                             points=ns.points)
+        results.update(value=limit.value, points=ns.points, slices=limit.slices,
+                       max_iterations=limit.max_iterations, error_estimate=limit.error_estimate)
     else:
         f = LaurentPoly(univariate(terms_f, "x"))
         g = LaurentPoly(univariate(terms_g, "x"))
         fn = d_infinity_measure if ns.which == "dinf" else d_infinity_h_measure
-        value = fn(f, g)
-    results = {
-        "measure": ns.which,
-        "f": ns.f,
-        "g": ns.g,
-        "value": value,
-    }
-    if ns.which == "heis":
-        results["points"] = ns.points
+        results["value"] = fn(f, g)
     echo = {"cmd": "measure", "which": ns.which, "f": ns.f, "g": ns.g,
             "points": ns.points if ns.which == "heis" else None}
     return results, 0, None, _echo_digest(echo)

@@ -4,18 +4,24 @@ The logarithmic measure of a one-variable Laurent polynomial comes from
 its roots (Jensen's formula), not quadrature; the infinite dihedral and
 dihedral-with-center measures are finite combinations of such measures;
 the Heisenberg-limit measure integrates a maximum of two slice measures
-over one circle numerically.
+over one circle numerically, solving the slices of a chunk of the z grid
+in one batched root-kernel call per slice degree.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ._roots import polynomial_roots
+from ._roots import _aberth, polynomial_roots
 from .errors import InvalidParameter, ZeroPolynomial, ZeroSlice
+
+# Slice rows go through the root kernel in chunks whose working set, the
+# (B, n, n) difference block and some sixteen (B, n) vectors of complex
+# doubles, stays near 1 MB.
+_BLOCK_BYTES = 1 << 20
 
 
 class LaurentPoly:
@@ -132,16 +138,8 @@ def mahler_measure(f) -> float:
     f = _as_laurent(f)
     if f.is_zero():
         raise ZeroPolynomial("measure of the zero polynomial")
-    _, coeffs = f.dense()
-    return _measure_from_coeffs(coeffs)
-
-
-def _measure_from_coeffs(coeffs) -> float:
-    c = list(coeffs)
-    while c and not c[-1]:
-        c.pop()
-    lead = c[-1]
-    m = math.log(abs(lead))
+    _, c = f.dense()
+    m = math.log(abs(c[-1]))
     if len(c) > 1:
         for r in polynomial_roots(c):
             a = abs(r)
@@ -191,7 +189,18 @@ def d_infinity_h_fourcomponent(f0, f1, f2, f3) -> float:
     return 0.25 * (mahler_measure(a) + mahler_measure(b))
 
 
-def heisenberg_infinite_measure(f0, fk, points: int = 512) -> float:
+class LimitMeasure(NamedTuple):
+    """A Heisenberg-limit measure with the slice root problems solved, the
+    sweeps of the slowest, and |value - the mean over the even-indexed
+    points|, the value on the points/2 grid (None for odd ``points``)."""
+
+    value: float
+    slices: int
+    max_iterations: int
+    error_estimate: float | None
+
+
+def heisenberg_infinite_measure(f0, fk, points: int = 512) -> LimitMeasure:
     """Measure of F = f0(y, z) + x^k fk(y, z) in the Heisenberg limit.
 
     Only this binomial-in-x shape has the closed slice form: for each z
@@ -200,7 +209,8 @@ def heisenberg_infinite_measure(f0, fk, points: int = 512) -> float:
     equally spaced z.  Inputs are {(y_exp, z_exp): coefficient} dicts
     (or LaurentPoly for pure-y polynomials).  A slice vanishing
     identically raises ZeroSlice; an identically-zero input raises
-    ZeroPolynomial.
+    ZeroPolynomial.  The z grid goes through the root kernel in chunks,
+    so memory does not grow with ``points``.
     """
     f0 = _as_bivariate(f0)
     fk = _as_bivariate(fk)
@@ -208,13 +218,25 @@ def heisenberg_infinite_measure(f0, fk, points: int = 512) -> float:
         raise ZeroPolynomial("binomial parts must not vanish identically")
     if points < 1:
         raise InvalidParameter(f"need points >= 1, got {points}")
-    acc = 0.0
-    for t in range(points):
-        zv = cmath.exp(2j * cmath.pi * t / points)
-        m0 = _slice_measure(f0, zv, t, points)
-        mk = _slice_measure(fk, zv, t, points)
-        acc += max(m0, mk)
-    return acc / points
+    n = max([1] + [max(e for e, _ in f) - min(e for e, _ in f) for f in (f0, fk)])
+    chunk = max(1, _BLOCK_BYTES // (16 * n * (n + 16)))
+    total = even = 0.0
+    slices = sweeps = 0
+    for start in range(0, points, chunk):
+        t = np.arange(start, min(start + chunk, points))
+        grids = [_slice_rows(f, np.exp(2j * np.pi * t / points)) for f in (f0, fk)]
+        dead = np.minimum(*(np.abs(g).max(axis=1) for g in grids)) < 1e-12
+        if dead.any():
+            raise ZeroSlice(f"slice at angle {t[dead.argmax()]}/{points} vanishes identically")
+        (m0, s0, u0), (mk, sk, uk) = (_slice_measures(g) for g in grids)
+        best = np.maximum(m0, mk)
+        total += float(best.sum())
+        even += float(best[t % 2 == 0].sum())
+        slices += s0 + sk
+        sweeps = max(sweeps, u0, uk)
+    value = total / points
+    estimate = abs(value - even / (points // 2)) if points % 2 == 0 else None
+    return LimitMeasure(value, slices, sweeps, estimate)
 
 
 def _as_bivariate(f) -> dict:
@@ -233,19 +255,32 @@ def _as_bivariate(f) -> dict:
     raise InvalidParameter(f"cannot read {type(f).__name__} as a bivariate polynomial")
 
 
-def _slice_measure(f, zv: complex, t: int, points: int) -> float:
+def _slice_rows(f, zv):
+    """The coefficients in y of f at each z of zv, one row per z."""
     ylo = min(e for e, _ in f)
-    yhi = max(e for e, _ in f)
-    coeffs = np.zeros(yhi - ylo + 1, dtype=np.complex128)
+    rows = np.zeros((len(zv), max(e for e, _ in f) - ylo + 1), dtype=np.complex128)
     for (ey, ez), c in f.items():
-        coeffs[ey - ylo] += c * zv ** ez
-    scale = np.abs(coeffs).max()
-    if scale < 1e-12:
-        raise ZeroSlice(
-            f"slice at angle {t}/{points} vanishes identically")
-    # strip numerically-dead leading/trailing coefficients so the root
-    # finder sees the true slice degree
-    keep = np.abs(coeffs) > 1e-12 * scale
-    idx = np.nonzero(keep)[0]
-    coeffs = coeffs[idx[0]:idx[-1] + 1]
-    return _measure_from_coeffs(list(coeffs))
+        rows[:, ey - ylo] += c * zv ** ez
+    return rows
+
+
+def _slice_measures(rows):
+    """The Mahler measure of each slice row, the rows that needed roots and
+    the sweeps of the slowest.  Numerically dead end coefficients are
+    stripped first, so a row's true degree picks its kernel batch."""
+    size = np.abs(rows)
+    keep = size > 1e-12 * size.max(axis=1, keepdims=True)
+    lo = keep.argmax(axis=1)
+    hi = keep.shape[1] - keep[:, ::-1].argmax(axis=1)
+    m = np.empty(len(rows))
+    solved = used = 0
+    for a, b in sorted(set(zip(lo.tolist(), hi.tolist()))):
+        sel = (lo == a) & (hi == b)
+        c = rows[sel, a:b]
+        m[sel] = np.log(np.abs(c[:, -1]))
+        if b - a > 1:
+            z, n = _aberth(c / c[:, -1:])
+            m[sel] += np.log(np.maximum(np.abs(z), 1.0)).sum(axis=1)
+            solved += len(c)
+            used = max(used, n)
+    return m, solved, used

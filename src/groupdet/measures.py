@@ -298,6 +298,8 @@ _H3_EXPS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
 def measure_h3(coeffs) -> int:
     """heisenberg_measure(3, coeffs).m on the flat 27-vector, in the
     Heisenberg label order: a_ijk at 9i + 3j + k."""
+    if len(coeffs) != 27:
+        raise InvalidParameter(f"need 27 coefficients, got {len(coeffs)}")
     # abelian part: product over 9 characters of F(w^i, w^j, 1)
     m1num = (0, 0)
     first = True

@@ -283,7 +283,7 @@ def test_criterion_12_heisenberg_limit_measure_vs_riemann_oracle():
              math.log(6)),
         ]
         for f0, fk, closed in cases:
-            ours = heisenberg_infinite_measure(f0, fk, points=256)
+            ours = heisenberg_infinite_measure(f0, fk, points=256).value
             assert ours == pytest.approx(_riemann_oracle(f0, fk), abs=1e-3)
             assert ours == pytest.approx(closed, abs=1e-6)
         ok = True

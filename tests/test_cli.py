@@ -303,7 +303,7 @@ def test_measure_dinf_reference(capsys):
     assert code == 0
     res = rep["results"]
     assert res["value"] == pytest.approx(LEHMER_LOG / 2, abs=1e-10)
-    assert "points" not in res
+    assert not {"points", "slices", "max_iterations", "error_estimate"} & set(res)
 
 
 def test_measure_heis_closed_form(capsys):
@@ -313,6 +313,9 @@ def test_measure_heis_closed_form(capsys):
     res = rep["results"]
     assert res["points"] == 64
     assert res["value"] == pytest.approx(math.log(3), abs=1e-6)
+    assert res["slices"] == 64
+    assert res["max_iterations"] >= 1
+    assert res["error_estimate"] < 1e-12
 
 
 # -- error paths -------------------------------------------------------------

@@ -5,8 +5,10 @@ log of the largest root modulus of x^10+x^9-x^7-x^6-x^5-x^4-x^3+x+1
 (the smallest known measure above 0 for an integer polynomial).
 """
 
+import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from groupdet import (
     mahler_measure,
     polynomial_roots,
 )
+from groupdet._roots import _aberth
 
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 LEHMER_LOG = 0.16235761200773813943
@@ -74,6 +77,30 @@ def test_roots_match_numpy_on_random_inputs():
 def test_root_finding_failure_is_reported():
     with pytest.raises(RootFindingFailed):
         polynomial_roots(LEHMER_COEFFS, max_iter=1)
+
+
+def test_batched_kernel_matches_loop_and_numpy():
+    rng = random.Random(94)
+    rows = [[complex(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(10)] + [1]
+            for _ in range(30)]
+    roots, sweeps = _aberth(np.array(rows))
+    alone = [_aberth(np.array([r])) for r in rows]
+    # the rows leave the batch at different sweeps
+    assert len({n for _, n in alone}) > 1
+    assert sweeps == max(n for _, n in alone)
+    for r, z, (z1, _) in zip(rows, roots, alone):
+        # a row's roots do not depend on the batch it is solved in
+        assert np.array_equal(z, z1[0])
+        assert np.array_equal(z, polynomial_roots(r))
+        _assert_same_root_sets(list(z), list(np.roots(r[::-1])), 1e-9)
+
+
+def test_batched_kernel_reports_the_row_that_does_not_converge():
+    # x^10 - 1 converges within 6 sweeps, Lehmer's polynomial does not
+    rows = np.array([[-1] + [0] * 9 + [1], LEHMER_COEFFS], dtype=np.complex128)
+    assert _aberth(rows[:1], max_iter=6)[1] <= 6
+    with pytest.raises(RootFindingFailed, match="after 6 iterations on degree 10"):
+        _aberth(rows, max_iter=6)
 
 
 def test_zero_polynomial_has_no_roots():
@@ -217,32 +244,69 @@ def test_heisenberg_limit_closed_forms():
     # mean over the z-circle of log max(1, |3 + z|, ...) collapses by
     # Jensen's formula to log 3 / log 2 / log 6 for these inputs
     assert heisenberg_infinite_measure({(1, 0): 1, (0, 1): 1, (0, 0): 3},
-                                       {(0, 0): 1}, points=64) == \
+                                       {(0, 0): 1}, points=64).value == \
         pytest.approx(math.log(3), abs=1e-9)
-    assert heisenberg_infinite_measure({(0, 0): 2}, {(0, 0): 1}, points=16) == \
+    assert heisenberg_infinite_measure({(0, 0): 2}, {(0, 0): 1}, points=16).value == \
         pytest.approx(math.log(2), abs=1e-12)
     # (y + 3)(z + 2): slice measure log|3| + log max(1, |z + 2|)
     f0 = {(1, 1): 1, (1, 0): 2, (0, 1): 3, (0, 0): 6}
-    assert heisenberg_infinite_measure(f0, {(0, 0): 2}, points=64) == \
+    assert heisenberg_infinite_measure(f0, {(0, 0): 2}, points=64).value == \
         pytest.approx(math.log(6), abs=1e-9)
 
 
 def test_heisenberg_limit_takes_slice_maximum():
     # the larger of the two parts wins pointwise: max(log 2, log 5) = log 5
-    got = heisenberg_infinite_measure({(0, 0): 2}, {(0, 0): 5}, points=8)
+    got = heisenberg_infinite_measure({(0, 0): 2}, {(0, 0): 5}, points=8).value
     assert got == pytest.approx(math.log(5), abs=1e-12)
 
 
 def test_heisenberg_limit_pure_y_unit():
-    assert heisenberg_infinite_measure({(1, 0): 1}, {(0, 0): 1}, points=8) == \
+    assert heisenberg_infinite_measure({(1, 0): 1}, {(0, 0): 1}, points=8).value == \
         pytest.approx(0.0, abs=1e-12)
 
 
 def test_heisenberg_limit_zero_slice_detected():
-    # f0 = (1 + z) y + (1 + z) vanishes identically on the slice z = -1
+    # f0 = (1 + z) y + (1 + z) vanishes identically on the slice z = -1,
+    # t = 32 of 64; the part z - i vanishes first, at z = i (t = 16)
     f0 = {(1, 0): 1, (1, 1): 1, (0, 0): 1, (0, 1): 1}
-    with pytest.raises(ZeroSlice):
+    with pytest.raises(ZeroSlice, match="angle 32/64 "):
         heisenberg_infinite_measure(f0, {(0, 0): 1}, points=64)
+    with pytest.raises(ZeroSlice, match="angle 16/64 "):
+        heisenberg_infinite_measure(f0, {(0, 1): 1, (0, 0): -1j}, points=64)
+
+
+def test_heisenberg_limit_mixes_slice_degrees():
+    # f0 = (1 + z) y^2 + y + 2 drops to degree 1 at z = -1, so one grid
+    # holds slices of two degrees; the reference solves each slice alone
+    f0 = {(2, 0): 1, (2, 1): 1, (1, 0): 1, (0, 0): 2}
+    points = 64
+    per_slice = []
+    for t in range(points):
+        zv = cmath.exp(2j * math.pi * t / points)
+        per_slice.append(max(mahler_measure([2, 1] if 2 * t == points else [2, 1, 1 + zv]), 0.0))
+    got = heisenberg_infinite_measure(f0, {(0, 0): 1}, points=points)
+    assert got.value == pytest.approx(sum(per_slice) / points, abs=1e-12)
+    assert got.slices == points  # the constant part needs no roots
+    assert got.max_iterations >= 1
+    even = sum(per_slice[::2]) / (points // 2)
+    assert got.error_estimate == pytest.approx(abs(sum(per_slice) / points - even), abs=1e-12)
+    assert heisenberg_infinite_measure(f0, {(0, 0): 1}, points=63).error_estimate is None
+
+
+def test_heisenberg_limit_memory_does_not_grow_with_points():
+    # one unchunked (points, 5, 5) complex block would take 13 MB alone
+    rng = random.Random(95)
+    f0, fk = ({(ey, ez): rng.choice([-3, -2, -1, 1, 2, 3]) for ey in range(6) for ez in range(3)}
+              for _ in range(2))
+    heisenberg_infinite_measure(f0, fk, points=16)
+    tracemalloc.start()
+    try:
+        got = heisenberg_infinite_measure(f0, fk, points=32768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.slices == 2 * 32768
+    assert peak < 4 << 20
 
 
 def test_heisenberg_limit_zero_input_rejected():

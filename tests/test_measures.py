@@ -388,3 +388,10 @@ def test_fast_kernel_matches_generic():
 def test_fast_kernel_flat_order_matches_poly_flat():
     f = _heisenberg_poly(3, [((1, 2, 0), 4), ((0, 0, 1), -2)])
     assert measure_h3(f) == heisenberg_measure(3, f).m
+
+
+def test_fast_kernel_checks_length():
+    # without the check, [1] * 26 read as 26 and [2] + [0] * 27 as 2^27
+    for coeffs in ([1] * 26, [2] + [0] * 27):
+        with pytest.raises(InvalidParameter, match=f"need 27 coefficients, got {len(coeffs)}"):
+            measure_h3(coeffs)
