@@ -137,7 +137,7 @@ def _cmd_compute(ns):
             "all_checks_pass": ok,
         }
         return results, 0 if ok else 1, None, _digest(data)
-    m = exact(coeffs)
+    m = exact([coeffs])[0]
     q = kind.base_prime(pin.params)
     results = {
         "group": group,
@@ -159,7 +159,7 @@ def _cmd_oracle(ns):
     coeffs = kind.flat_coeffs(pin.params, pin.terms)
     m_oracle = group_determinant(GroupRingElt(build_group(pin.kind, *pin.params), coeffs))
     route, exact = kind.route(pin.params)
-    m_fast = exact(coeffs)
+    m_fast = exact([coeffs])[0]
     results = {
         "group": describe_group(pin.kind, pin.params),
         "m_oracle": str(m_oracle),

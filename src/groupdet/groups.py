@@ -55,7 +55,10 @@ class GroupKind:
     labelled a and b.  ``check(params)`` raises InvalidParameter unless
     the parameters name a group of the kind, and runs before the group is
     built or ``exact(params)`` gives its exact determinant as (route
-    name, function of the flat coefficient vector in ``labels`` order).
+    name, evaluator).  The evaluator takes a chunk of flat coefficient
+    vectors in ``labels`` order and returns their values, in order:
+    ``compute`` passes one row, the searches fixed-size chunks.  Only the
+    p = 3 Heisenberg evaluator is vectorized (``measure_h3``).
     """
 
     keys: tuple
@@ -248,13 +251,18 @@ def _dicyclic_mul(ps, a, b):
 # -- exact routes on flat coefficient vectors ----------------------------
 
 
+def _per_row(name, f):
+    # a route without a vectorized body: its evaluator maps f over the chunk
+    return name, lambda rows: [f(c) for c in rows]
+
+
 def _circulant_route(params):
     n = params[0]
-    return "circulant", lambda c: circulant_det(c, n)
+    return _per_row("circulant", lambda c: circulant_det(c, n))
 
 
 def _character_route(moduli):
-    return "character-product", lambda c: abelian_measure(moduli, c)
+    return _per_row("character-product", lambda c: abelian_measure(moduli, c))
 
 
 def _product_route(params):
@@ -263,24 +271,24 @@ def _product_route(params):
         return _character_route(params)
     check_oracle_order(math.prod(params))
     g = build_group("product", *params)
-    return "cayley", lambda c: group_determinant(GroupRingElt(g, c))
+    return _per_row("cayley", lambda c: group_determinant(GroupRingElt(g, c)))
 
 
 def _heisenberg_route(params):
     p = params[0]
     if p == 3:
-        return "factorized", lambda c: measure_h3(c)
-    return "factorized", lambda c: heisenberg_measure(p, c).m
+        return "factorized", measure_h3
+    return _per_row("factorized", lambda c: heisenberg_measure(p, c).m)
 
 
 def _dihedral_route(params):
     n = params[0] // 2
-    return "two-part", lambda c: dihedral_measure(c[:n], c[n:], n)
+    return _per_row("two-part", lambda c: dihedral_measure(c[:n], c[n:], n))
 
 
 def _dicyclic_route(params):
     n = params[0] // 4
-    return "two-part", lambda c: dicyclic_measure(c[:2 * n], c[2 * n:], n)
+    return _per_row("two-part", lambda c: dicyclic_measure(c[:2 * n], c[2 * n:], n))
 
 
 KINDS = {

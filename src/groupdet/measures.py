@@ -5,8 +5,9 @@ One character product (``abelian_measure``) for (Z_p)^n, which
 part M1 of the order-p^3 Heisenberg factorization M = M1 * M2^p and
 the Z_p x Z_p checks), the Heisenberg block factorization on the flat
 label-order coefficient vector that ``KINDS["heisenberg"].flat_coeffs``
-gives, the binomial two-product shortcut, and one twisted circulant
-(``circulant_det``, modulo x^n - 1 or x^n + 1) for
+gives, its batched int64 kernel for p = 3 (``measure_h3``, a (B, 27)
+block of such vectors per call), the binomial two-product shortcut, and
+one twisted circulant (``circulant_det``, modulo x^n - 1 or x^n + 1) for
 the cyclic, dihedral and dicyclic routes, eliminated by
 ``exactdet.det_int`` (Bareiss for small n, certified multimodular
 above).  Every path returns exact integers and is cross-checked against
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import getitem, itemgetter, mul
+
+import numpy as np
 
 from .cyclotomic import CycInt, eval_bivariate_at_roots
 from .errors import InvalidParameter, NotInteger
@@ -263,88 +266,77 @@ def _fold_vector(f, n: int) -> list:
     return out
 
 
-# -- specialized fast path for p = 3 ---------------------------------------
+# -- batched kernel for p = 3 -----------------------------------------------
 #
-# Value searches over the 27-coefficient Heisenberg polynomials sample
-# hundreds of thousands of candidates; the generic CycInt route burns most
-# of its time on object plumbing.  This path inlines Z[w] for p = 3 as
-# coefficient pairs (a + b w) and the 3 x 3 block determinants directly.
-# It is validated against heisenberg_measure in the tests.
+# Value searches evaluate thousands of 27-coefficient Heisenberg polynomials
+# at a time.  One matmul of a (B, 27) int64 block with a fixed {-1, 0, 1}
+# matrix gives each row's 9 character values F(w^a, w^b, 1) and the 18
+# entries of its blocks D(w) and D(w^2), each as the coordinates (a, b) of
+# a + b w in Z[w].  The characters are multiplied in conjugate pairs, so
+# every partial product of m1 is an integer of absolute value at most
+# (27 H)^9 for a row of height H, below 2^63 for H <= H3_HEIGHT; the
+# block determinants stay far smaller.
+
+H3_HEIGHT = 4
+# the trivial character, then each character next to its conjugate
+_H3_CHARS = ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (2, 2), (1, 2), (2, 1))
+_LEIBNIZ = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
 
-def _h3_eval(coeffs, table):
-    a0 = a1 = a2 = 0
-    for c, e in zip(coeffs, table):
-        if c:
-            if e == 0:
-                a0 += c
-            elif e == 1:
-                a1 += c
-            else:
-                a2 += c
-    return (a0 - a2, a1 - a2)
+def _h3_matrix():
+    # column z holds the power of w each label takes in value z (None:
+    # the label is not in it): the characters, then f_i(w^(j c), w^j) for
+    # j = 1, 2, slice i and block column c; a + b w is then
+    # (a_0 - a_2) + (a_1 - a_2) w, from the sums a_e of the terms at w^e
+    labels = list(product(range(3), repeat=3))
+    cols = [[(a * i + b * j) % 3 for i, j, _ in labels] for a, b in _H3_CHARS]
+    cols += [[(j * c * y + j * z) % 3 if x == i else None for x, y, z in labels]
+             for j in (1, 2) for i in range(3) for c in range(3)]
+    return np.array([[(e == 0) - (e == 2) for e in col] for col in cols]
+                    + [[(e == 1) - (e == 2) for e in col] for col in cols], dtype=np.int64).T
 
 
-def _h3_mul(x, y):
-    a, b = x
-    c, d = y
+_H3_MATRIX = _h3_matrix()
+
+
+def _zw_mul(x, y):
+    (a, b), (c, d) = x, y
     bd = b * d
-    return (a * c - bd, a * d + b * c - bd)
+    return a * c - bd, a * d + b * c - bd
 
 
-_H3_EXPS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+def measure_h3(block) -> list:
+    """heisenberg_measure(3, row).m for each row of a (B, 27) block of
+    flat coefficient vectors (a_ijk at 9i + 3j + k), as a list of ints.
 
-
-def measure_h3(coeffs) -> int:
-    """heisenberg_measure(3, coeffs).m on the flat 27-vector, in the
-    Heisenberg label order: a_ijk at 9i + 3j + k."""
-    if len(coeffs) != 27:
-        raise InvalidParameter(f"need 27 coefficients, got {len(coeffs)}")
-    # abelian part: product over 9 characters of F(w^i, w^j, 1)
-    m1num = (0, 0)
-    first = True
-    for ci in range(3):
-        for cj in range(3):
-            table = [(ci * i + cj * j) % 3 for (i, j, k) in _H3_EXPS]
-            v = _h3_eval(coeffs, table)
-            if first:
-                m1num, first = v, False
-            else:
-                m1num = _h3_mul(m1num, v)
-    if m1num[1]:
-        raise NotInteger(f"abelian character product is not a rational integer: {m1num}")
-    m1 = m1num[0]
-    # block determinants at w and w^2
-    m2num = (1, 0)
-    for j in (1, 2):
-        ev = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for c in range(3):
-                yk = (j * c) % 3
-                table = [(yk * jj + j * kk) % 3 for (jj, kk) in _H3_YZ]
-                ev[i][c] = _h3_eval(coeffs[9 * i:9 * i + 9], table)
+    Rows of height at most H3_HEIGHT are evaluated together in int64;
+    any other row, or every row of a block that does not fit int64, takes
+    ``heisenberg_measure``.  The products m1 and m2 are certified: a
+    nonzero w-coordinate raises NotInteger."""
+    try:
+        block = np.asarray(block, dtype=np.int64)
+    except OverflowError:
+        return [heisenberg_measure(3, list(row)).m for row in block]
+    if block.ndim != 2 or block.shape[1] != 27:
+        raise InvalidParameter(f"need rows of 27 coefficients, got shape {block.shape}")
+    fits = ((block >= -H3_HEIGHT) & (block <= H3_HEIGHT)).all(axis=1)
+    v = block[fits] @ _H3_MATRIX
+    z = list(zip(v[:, :27].T, v[:, 27:].T))
+    m1 = z[0]
+    for k in range(1, 9, 2):
+        m1 = _zw_mul(m1, _zw_mul(z[k], z[k + 1]))
+    if m1[1].any():
+        raise NotInteger("abelian character product is not a rational integer")
+    m2 = (1, 0)
+    for j in (9, 18):  # D(w), then D(w^2): entry (r, c) is f_(r - c)(w^(j c), w^j)
         det = (0, 0)
-        for (r0, r1, r2, s) in _H3_PERMS:
-            t = _h3_mul(_h3_mul(ev[r0][0], ev[r1][1]), ev[r2][2])
-            det = (det[0] + s * t[0], det[1] + s * t[1])
-        m2num = _h3_mul(m2num, det)
-    if m2num[1]:
-        raise NotInteger(f"block determinant product is not a rational integer: {m2num}")
-    m2 = m2num[0]
-    return m1 * m2 ** 3
-
-
-_H3_YZ = [(j, k) for j in range(3) for k in range(3)]
-
-
-def _h3_perm_table():
-    # Leibniz expansion of the 3x3 block determinant: entry (r, c) uses
-    # the x-slice (r - c) mod 3, so store per-column slice indices + sign.
-    out = []
-    for rows in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        sign = 1 if rows in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-        out.append(tuple((rows[c] - c) % 3 for c in range(3)) + (sign,))
-    return out
-
-
-_H3_PERMS = _h3_perm_table()
+        for rows, sign in _LEIBNIZ:
+            t = reduce(_zw_mul, (z[j + 3 * ((r - c) % 3) + c] for c, r in enumerate(rows)))
+            det = (det[0] + sign * t[0], det[1] + sign * t[1])
+        m2 = _zw_mul(m2, det)
+    if m2[1].any():
+        raise NotInteger("block determinant product is not a rational integer")
+    fast = iter([a * b ** 3 for a, b in zip(m1[0].tolist(), m2[0].tolist())])
+    return [next(fast) if ok else heisenberg_measure(3, row).m
+            for ok, row in zip(fits.tolist(), block.tolist())]

@@ -3,13 +3,15 @@
 Enumerate (exhaustively or by seeded sampling) the determinant values a
 group attains at a given coefficient height, track the minimum
 nontrivial absolute value and a witness, and estimate the growth
-constant log(min)/|G|.  The outcome is deterministic, and the witness
-depends on the order of work.  Exhaustive work is split into shards by
-the first coefficient, in increasing order; each shard walks the rest in
-lexicographic order and keeps the first vector of smallest |m| >= 2, and
-the merge keeps the least (|m|, m, vector), so a tie in |m| goes to the
-negative value.  The order-8 dihedral kernel keeps the lexicographically
-first vector of smallest |m|; a random search, the first such trial.
+constant log(min)/|G|.  Rows reach the route evaluator (for p = 3
+Heisenberg, one batched int64 kernel) CHUNK_ROWS at a time, so memory
+does not grow with the trials.  The witness depends on the order of
+work.  Exhaustive work is split into shards by the first coefficient, in
+increasing order; each shard walks the rest in lexicographic order and
+keeps the first vector of smallest |m| >= 2, and the merge keeps the
+least (|m|, m, vector), so a tie in |m| goes to the negative value.  A
+random search keeps the first such trial.  Order-8 dihedral searches
+pair value classes, with the witness the shards and merge would keep.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from typing import Optional
 
 import numpy as np
@@ -28,6 +30,7 @@ from .groups import kind_of
 from .verify import achieve_construction, is_power_residue
 
 DEFAULT_BUDGET = 100_000_000
+CHUNK_ROWS = 4096
 MAX_DISTINCT_VALUES = 1_000_000
 
 
@@ -66,6 +69,7 @@ class SearchConfig:
 @dataclass
 class SearchResult:
     config: SearchConfig
+    route: str
     evaluations: int
     min_nontrivial: Optional[int]
     witness: Optional[list]
@@ -83,6 +87,7 @@ class SearchResult:
         lam = self.lambda_estimate()
         return {
             "group": {"kind": self.config.kind, "params": list(self.config.params)},
+            "route": self.route,
             "height": self.config.height,
             "mode": self.config.mode,
             "trials": self.config.trials if self.config.mode == "random" else None,
@@ -120,15 +125,18 @@ class _Collector:
             return m % self.p == 0
         raise InvalidParameter(f"unknown value filter {vf!r}")
 
-    def add(self, m: int, coeffs) -> None:
-        self.evaluations += 1
-        if not self._keep(m):
-            return
+    def _note(self, m: int) -> None:
         if m not in self.values:
             if len(self.values) < self.cfg.max_values:
                 self.values.add(m)
             else:
                 self.truncated += 1
+
+    def add(self, m: int, coeffs) -> None:
+        self.evaluations += 1
+        if not self._keep(m):
+            return
+        self._note(m)
         if abs(m) >= 2 and (self.best is None or abs(m) < self.best[0]):
             self.best = (abs(m), m, tuple(coeffs))
 
@@ -136,27 +144,26 @@ class _Collector:
         self.evaluations += other.evaluations
         self.truncated += other.truncated
         for v in other.values:
-            if v not in self.values:
-                if len(self.values) < self.cfg.max_values:
-                    self.values.add(v)
-                else:
-                    self.truncated += 1
+            self._note(v)
         if other.best is not None and (self.best is None or other.best < self.best):
             self.best = other.best
 
 
+def _evaluate(cfg: SearchConfig, rows, col: _Collector) -> _Collector:
+    """Evaluate the rows in chunks and add each value in row order."""
+    _, ev = kind_of(cfg.kind).route(cfg.params)
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        for coeffs, m in zip(chunk, ev(chunk)):
+            col.add(m, coeffs)
+    return col
+
+
 def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:
     """Exhaustively evaluate the shard with the leading coefficient fixed."""
-    kind = kind_of(cfg.kind)
-    order = kind.order(cfg.params)
-    _, ev = kind.route(cfg.params)
-    col = _Collector(cfg)
-    h = cfg.height
-    span = range(-h, h + 1)
-    for rest in iter_product(span, repeat=order - 1):
-        coeffs = (first_coeff,) + rest
-        col.add(ev(coeffs), coeffs)
-    return col
+    span = range(-cfg.height, cfg.height + 1)
+    rest = iter_product(span, repeat=kind_of(cfg.kind).order(cfg.params) - 1)
+    return _evaluate(cfg, ((first_coeff,) + r for r in rest), _Collector(cfg))
 
 
 def enumerate_values(cfg: SearchConfig) -> SearchResult:
@@ -174,75 +181,68 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
             raise BudgetExceeded(
                 f"(2*{h}+1)^{order} = {count} matrix evaluations exceed the "
                 f"budget {budget}; raise GDET_BUDGET or shrink the search")
-        if cfg.kind == "dihedral" and cfg.params[0] == 8 and cfg.value_filter == "all":
+        if cfg.kind == "dihedral" and cfg.params[0] == 8:
             return _enumerate_dihedral8(cfg)
         for c0 in range(-h, h + 1):
             total.merge(run_shard(cfg, c0))
     elif cfg.mode == "random":
-        _, ev = kind.route(cfg.params)
-        for t in range(cfg.trials):
-            rng = random.Random(f"{cfg.seed}:{t}")
-            coeffs = tuple(rng.randint(-h, h) for _ in range(order))
-            total.add(ev(coeffs), coeffs)
+        trials = (random.Random(f"{cfg.seed}:{t}") for t in range(cfg.trials))
+        _evaluate(cfg, (tuple(r.randint(-h, h) for _ in range(order)) for r in trials), total)
     else:
         raise InvalidParameter(f"unknown search mode {cfg.mode!r}")
-    return _result_from_collector(cfg, total)
+    batched = cfg.kind == "heisenberg" and cfg.params[0] == 3
+    return _result_from_collector(cfg, total, "batched" if batched else kind.route(cfg.params)[0])
 
 
-def _result_from_collector(cfg: SearchConfig, col: _Collector) -> SearchResult:
-    witness = None
-    minval = None
-    if col.best is not None:
-        minval = col.best[1]
-        witness = kind_of(cfg.kind).terms(cfg.params, col.best[2])
-    return SearchResult(config=cfg, evaluations=col.evaluations,
-                        min_nontrivial=minval, witness=witness,
-                        attained_values=sorted(col.values),
-                        values_truncated=col.truncated)
+def _result_from_collector(cfg: SearchConfig, col: _Collector, route: str) -> SearchResult:
+    best = col.best or (None, None, None)
+    witness = None if col.best is None else kind_of(cfg.kind).terms(cfg.params, best[2])
+    return SearchResult(config=cfg, route=route, evaluations=col.evaluations,
+                        min_nontrivial=best[1], witness=witness,
+                        attained_values=sorted(col.values), values_truncated=col.truncated)
 
 
-# -- vectorized exhaustive kernel for the order-8 dihedral group -----------
+# -- exhaustive order-8 dihedral search over pairs of value classes ---------
 #
-# At order 8 the determinant factors over the fourth roots of unity into
-# integer quantities: with s1 = f(1), s2 = f(-1), |f(i)|^2 = re^2 + im^2,
-# the value is (s1^2 - t1^2)(s2^2 - t2^2)(|f(i)|^2 - |g(i)|^2)^2 where the
-# t's are the same functionals of g.  That turns the (2H+1)^8 enumeration
-# into one outer-product pass.
-
-
-def _d8_value_table(height: int):
-    span = np.arange(-height, height + 1, dtype=np.int64)
-    c0, c1, c2, c3 = np.meshgrid(span, span, span, span, indexing="ij")
-    c0, c1, c2, c3 = (a.ravel() for a in (c0, c1, c2, c3))
-    s1 = (c0 + c1 + c2 + c3) ** 2
-    s2 = (c0 - c1 + c2 - c3) ** 2
-    q = (c0 - c2) ** 2 + (c1 - c3) ** 2
-    vecs = np.stack([c0, c1, c2, c3], axis=1)
-    a = s1[:, None] - s1[None, :]
-    b = s2[:, None] - s2[None, :]
-    c = q[:, None] - q[None, :]
-    return a * b * c * c, vecs
+# At order 8 the value of f + y g is (s1 - t1)(s2 - t2)(q - r)^2 with
+# s1 = f(1)^2, s2 = f(-1)^2, q = |f(i)|^2 and (t1, t2, r) the same for g,
+# so it depends on each half only through its class.  The f classes are
+# also split by the leading coefficient, the shard of the generic search,
+# so that a pair's first members are its first vector in that shard:
+# 957 x 203 class pairs at height 3 rather than 2401^2 vector pairs.
 
 
 def _enumerate_dihedral8(cfg: SearchConfig) -> SearchResult:
     # int64 is ample here: |value| <= 16384 * H^8, so heights up to ~35
     # stay exact; the evaluation budget bites long before that.
     if cfg.height > 35:
-        raise BudgetExceeded("vectorized order-8 kernel is int64-exact only up to height 35")
-    table, vecs = _d8_value_table(cfg.height)
+        raise BudgetExceeded("order-8 class-pair kernel is int64-exact only up to height 35")
     col = _Collector(cfg)
-    col.evaluations = table.size
-    uniq = np.unique(table)
-    col.values = set(int(v) for v in uniq[:cfg.max_values])
+    span = np.arange(-cfg.height, cfg.height + 1, dtype=np.int64)
+    vecs = np.stack(np.meshgrid(span, span, span, span, indexing="ij"), axis=-1).reshape(-1, 4)
+    c0, c1, c2, c3 = vecs.T
+    keys = np.stack([c0, (c0 + c1 + c2 + c3) ** 2, (c0 - c1 + c2 - c3) ** 2,
+                     (c0 - c2) ** 2 + (c1 - c3) ** 2], axis=1)
+    f_classes, f_first = np.unique(keys, axis=0, return_index=True)
+    g_classes, g_first = np.unique(keys[:, 1:], axis=0, return_index=True)
+    s1, s2, q = (f[:, None] - g for f, g in zip(f_classes[:, 1:].T, g_classes.T))
+    values = s1 * s2 * q * q  # values[a, b]: f in class a, g in class b
+    col.evaluations = len(vecs) ** 2
+    kept = np.broadcast_to(col._keep(values), values.shape)
+    uniq = np.unique(values[kept])
+    col.values = set(uniq[:cfg.max_values].tolist())
     col.truncated = max(0, len(uniq) - cfg.max_values)
-    absval = np.abs(table)
-    masked = np.where(absval >= 2, absval, np.iinfo(np.int64).max)
-    flat = int(masked.argmin())
-    if masked.flat[flat] != np.iinfo(np.int64).max:
-        i, j = divmod(flat, table.shape[1])
-        coeffs = tuple(int(v) for v in vecs[i]) + tuple(int(v) for v in vecs[j])
-        col.best = (int(absval.flat[flat]), int(table.flat[flat]), coeffs)
-    return _result_from_collector(cfg, col)
+    absval = np.abs(values)
+    kept = kept & (absval >= 2)
+    if kept.any():
+        a, b = np.nonzero(kept & (absval == absval[kept].min()))
+        firsts = {}  # shard -> (m, f index, g index) of its first vector of smallest |m|
+        for i, j, m, shard in sorted(zip(f_first[a].tolist(), g_first[b].tolist(),
+                                         values[a, b].tolist(), f_classes[a, 0].tolist())):
+            firsts.setdefault(shard, (m, i, j))
+        m, i, j = min(firsts.values())  # as the merge of the shards keeps
+        col.best = (abs(m), m, tuple(vecs[i].tolist() + vecs[j].tolist()))
+    return _result_from_collector(cfg, col, "class-pairs")
 
 
 # -- growth constants --------------------------------------------------------

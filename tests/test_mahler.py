@@ -309,6 +309,20 @@ def test_heisenberg_limit_memory_does_not_grow_with_points():
     assert peak < 4 << 20
 
 
+def test_heisenberg_limit_strips_dead_end_coefficients():
+    # 1 + z + z^2 vanishes at the two primitive cube roots of unity among
+    # 6 points, but evaluates there to about 1e-16, not 0.  As a dead
+    # constant term it would leave two slices of f0 = (1 + z + z^2) + 3y
+    # with a root problem each; as a dead leading term it would give
+    # 2 + y + (1 + z + z^2) y^2 a huge root that stalls the iteration.
+    got = heisenberg_infinite_measure({(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 3},
+                                      {(0, 0): 1, (1, 0): 1}, 6)
+    assert got.slices == 10
+    got = heisenberg_infinite_measure({(0, 0): 2, (1, 0): 1, (2, 0): 1, (2, 1): 1, (2, 2): 1},
+                                      {(0, 0): 3, (1, 1): 1}, 6)
+    assert got.max_iterations == 4
+
+
 def test_heisenberg_limit_zero_input_rejected():
     with pytest.raises(ZeroPolynomial):
         heisenberg_infinite_measure({}, {(0, 0): 1})

@@ -2,7 +2,7 @@
 
 Every fast formula here (character products, the order-p^3 block
 factorization, the binomial shortcut, the two-part dihedral/dicyclic
-reductions, and the inlined p = 3 kernel) is checked against
+reductions, and the batched p = 3 kernel) is checked against
 group_determinant, which builds the honest n x n matrix and eliminates.
 """
 
@@ -32,7 +32,7 @@ from groupdet import (
 )
 from groupdet.exactdet import MULTIMODULAR_CUTOFF, det_bareiss
 from groupdet.groups import KINDS, build_group, kind_of
-from groupdet.measures import certified_int_product
+from groupdet.measures import H3_HEIGHT, certified_int_product
 from groupdet.verify import random_heisenberg_poly
 
 
@@ -66,7 +66,7 @@ def test_table_route_equals_oracle(kind, data):
     g = build_group(kind, *data.draw(SMALL_PARAMS[kind], label="params"))
     coeffs = data.draw(st.tuples(*[st.integers(-3, 3)] * g.order), label="coeffs")
     _, exact = kind_of(kind).route(g.params)
-    assert exact(coeffs) == group_determinant(GroupRingElt(g, coeffs))
+    assert exact([coeffs]) == [group_determinant(GroupRingElt(g, coeffs))]
 
 
 # -- abelian character products --------------------------------------------
@@ -345,7 +345,7 @@ def test_twisted_circulants_above_the_cutoff_match_oracle(kind, order):
     _, exact = kind_of(kind).route((order,))
     m = group_determinant(GroupRingElt(build_group(kind, order), coeffs))
     assert m != 0
-    assert exact(coeffs) == m
+    assert exact([coeffs]) == [m]
 
 
 def test_negacirculant_against_numeric_roots():
@@ -372,26 +372,55 @@ def test_two_part_inputs_fold():
     assert a == b
 
 
-# -- the inlined p = 3 kernel ------------------------------------------------
+# -- the batched p = 3 kernel ------------------------------------------------
 
 
 def test_fast_kernel_matches_generic():
+    # at height 5 nearly every row has a coefficient past H3_HEIGHT and
+    # takes the generic route inside the kernel
     rng = random.Random(70)
-    for _ in range(300):
-        flat = [rng.randint(-5, 5) for _ in range(27)]
-        f = _heisenberg_poly(
-            3, [((i, j, k), flat[9 * i + 3 * j + k])
-                for i in range(3) for j in range(3) for k in range(3)])
-        assert measure_h3(flat) == heisenberg_measure(3, f).m
+    for height in range(1, 6):
+        rows = [[rng.randint(-height, height) for _ in range(27)] for _ in range(2000)]
+        assert measure_h3(rows) == [heisenberg_measure(3, f).m for f in rows]
 
 
 def test_fast_kernel_flat_order_matches_poly_flat():
     f = _heisenberg_poly(3, [((1, 2, 0), 4), ((0, 0, 1), -2)])
-    assert measure_h3(f) == heisenberg_measure(3, f).m
+    assert measure_h3([f]) == [heisenberg_measure(3, f).m]
+
+
+def test_fast_kernel_mixes_rows_on_both_sides_of_the_int64_bound():
+    bound = H3_HEIGHT
+    rng = random.Random(73)
+    rows = [[c] * 27 for c in (bound, -bound, bound + 1, -bound - 1)]
+    for t in range(40):
+        h = bound + t % 2  # alternate rows the kernel evaluates and rows it hands on
+        rows.append([rng.choice([-h, h]) if k == t % 27 else rng.randint(-h, h)
+                     for k in range(27)])
+    assert measure_h3(rows) == [heisenberg_measure(3, f).m for f in rows]
+    # a coefficient past int64 sends the whole block to the generic route
+    rows[0] = [2 ** 70] + [0] * 26
+    assert measure_h3(rows) == [heisenberg_measure(3, f).m for f in rows]
+    assert measure_h3(rows)[0] == 2 ** (70 * 27)
+
+
+@pytest.mark.parametrize("column,message", [(27 + 1, "abelian character product"),
+                                            (27 + 9, "block determinant product")])
+def test_fast_kernel_certificates_raise(monkeypatch, column, message):
+    # a wrong w-coordinate for the second character, then for the first
+    # entry of D(w), must raise NotInteger: an explicit check, so it also
+    # holds under python -O
+    import groupdet.measures
+    bad = groupdet.measures._H3_MATRIX.copy()
+    bad[0, column] += 1
+    monkeypatch.setattr(groupdet.measures, "_H3_MATRIX", bad)
+    with pytest.raises(NotInteger, match=message):
+        measure_h3([[1, 2] + [0] * 25])
 
 
 def test_fast_kernel_checks_length():
     # without the check, [1] * 26 read as 26 and [2] + [0] * 27 as 2^27
     for coeffs in ([1] * 26, [2] + [0] * 27):
-        with pytest.raises(InvalidParameter, match=f"need 27 coefficients, got {len(coeffs)}"):
-            measure_h3(coeffs)
+        with pytest.raises(InvalidParameter,
+                           match=rf"need rows of 27 coefficients, got shape \(1, {len(coeffs)}\)"):
+            measure_h3([coeffs])

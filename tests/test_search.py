@@ -1,8 +1,12 @@
 """Bounded value enumeration: filters, determinism, budgets, growth constants."""
 
+import functools
 import math
 import random
+import tracemalloc
+from itertools import product
 
+import numpy as np
 import pytest
 
 from groupdet import (
@@ -12,10 +16,12 @@ from groupdet import (
     dihedral_measure,
     enumerate_values,
     evaluation_budget,
+    heisenberg_measure,
     lambda_heisenberg,
     measure_h3,
     min_coprime_residue,
 )
+from groupdet.groups import KINDS
 from groupdet.search import _Collector, run_shard
 
 
@@ -114,7 +120,7 @@ def test_random_mode_trial_coefficients_are_reproducible():
                                         trials=50, seed=5))
     rng = random.Random("5:0")
     first = tuple(rng.randint(-1, 1) for _ in range(27))
-    assert measure_h3(first) in set(res.attained_values)
+    assert heisenberg_measure(3, first).m in set(res.attained_values)
 
 
 def test_heisenberg5_random_smoke():
@@ -149,7 +155,7 @@ def test_invalid_filter_rejected():
         enumerate_values(_cfg(value_filter="odd"))
 
 
-# -- the dedicated order-8 dihedral kernel -------------------------------------
+# -- the order-8 dihedral class-pair search -----------------------------------
 
 
 def test_d8_kernel_agrees_with_generic_route():
@@ -166,6 +172,91 @@ def test_d8_kernel_height_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=40,
                                       budget=10 ** 18))
+
+
+@functools.lru_cache(maxsize=None)
+def _d8_brute_force(height):
+    """dihedral_measure on every 8-vector, in lexicographic order."""
+    span = range(-height, height + 1)
+    return np.array([dihedral_measure(v[:4], v[4:], 4) for v in product(span, repeat=8)],
+                    dtype=np.int64)
+
+
+def _d8_reference(height, value_filter):
+    """The class-pair search restated over every vector: the values the
+    filter keeps, and the witness of smallest |m| >= 2, the least
+    (m, vector) among the first such vectors of each shard (a leading
+    coefficient).  With no filter that is the first such vector."""
+    values = _d8_brute_force(height)
+    keep = {"all": np.ones(len(values), bool), "coprime": values % 2 != 0,
+            "multiples": values % 2 == 0}[value_filter]
+    absval = np.abs(values)
+    low = absval[keep & (absval >= 2)].min()
+    hits = np.flatnonzero(keep & (absval == low))
+    shard = (2 * height + 1) ** 7
+    firsts = [hits[hits // shard == s][0] for s in np.unique(hits // shard)]
+    i = min(firsts, key=lambda i: (values[i], i))
+    assert value_filter != "all" or i == firsts[0]
+    vec = np.unravel_index(i, (2 * height + 1,) * 8)
+    return (len(values), int(values[i]), [int(c) - height for c in vec],
+            np.unique(values[keep]).tolist())
+
+
+@pytest.mark.parametrize("height", [1, 2])
+@pytest.mark.parametrize("value_filter", ["all", "coprime", "multiples"])
+def test_d8_class_pairs_match_brute_force(height, value_filter):
+    res = enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=height,
+                                        value_filter=value_filter))
+    evaluations, low, vec, values = _d8_reference(height, value_filter)
+    assert res.route == "class-pairs"
+    assert res.evaluations == evaluations
+    assert res.min_nontrivial == low
+    assert res.witness == KINDS["dihedral"].terms((8,), vec)
+    assert res.attained_values == values
+
+
+@pytest.mark.parametrize("value_filter", ["coprime", "multiples"])
+def test_d8_class_pairs_match_generic_shards(value_filter):
+    # the witness rule of a filtered search is the one run_shard and the
+    # merge give on the per-row route
+    cfg = SearchConfig(kind="dihedral", params=(8,), height=1, value_filter=value_filter)
+    acc = _Collector(cfg)
+    for first in (-1, 0, 1):
+        acc.merge(run_shard(cfg, first))
+    res = enumerate_values(cfg)
+    assert (res.evaluations, res.min_nontrivial) == (acc.evaluations, acc.best[1])
+    assert res.witness == KINDS["dihedral"].terms((8,), acc.best[2])
+    assert res.attained_values == sorted(acc.values)
+
+
+def test_random_search_memory_does_not_grow_with_trials():
+    # the evaluator sees chunks of CHUNK_ROWS trials, so ten times the
+    # trials may not raise the peak; max_values caps the one thing that
+    # should grow, the set of attained values
+    def peak(trials):
+        cfg = SearchConfig(kind="heisenberg", params=(3,), height=2, mode="random",
+                           trials=trials, seed=5, max_values=1000)
+        tracemalloc.start()
+        try:
+            assert enumerate_values(cfg).evaluations == trials
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    assert peak(10 ** 5) < peak(10 ** 4) + (256 << 10)
+
+
+def test_search_reports_the_route():
+    cases = [(dict(kind="heisenberg", params=(3,), mode="random", trials=5), "batched"),
+             (dict(kind="heisenberg", params=(5,), mode="random", trials=2), "factorized"),
+             (dict(kind="dihedral", params=(8,)), "class-pairs"),
+             (dict(kind="dihedral", params=(8,), mode="random", trials=5), "two-part"),
+             (dict(kind="cyclic", params=(3,)), "circulant")]
+    for kw, route in cases:
+        res = enumerate_values(SearchConfig(height=1, **kw))
+        assert res.route == route
+        assert res.to_report()["route"] == route
 
 
 # -- growth constants -----------------------------------------------------------
@@ -195,4 +286,4 @@ def test_kernel_minimum_consistency():
     assert all(abs(v) >= floor or abs(v) == 1 for v in res.attained_values)
     flat = [0] * 27
     flat[0] = 1
-    assert measure_h3(flat) == 1
+    assert measure_h3([flat]) == [1]
