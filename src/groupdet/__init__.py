@@ -22,7 +22,6 @@ from .errors import (
 )
 from .exactdet import det_bareiss, det_int, is_prime
 from .cyclotomic import CycInt
-from .polyring import IntPoly
 from .groups import (
     GroupRingElt,
     GroupSpec,
@@ -30,7 +29,6 @@ from .groups import (
     build_group,
     cayley_matrix,
     group_determinant,
-    heisenberg_normal_form,
     poly_from_json,
     poly_to_json,
 )
@@ -42,7 +40,6 @@ from .measures import (
     dicyclic_measure,
     dihedral_measure,
     heisenberg_binomial_measure,
-    heisenberg_fourier_coeffs,
     heisenberg_measure,
     heisenberg_phi_matrix,
     measure_h3,
@@ -63,7 +60,6 @@ from .verify import (
     p_valuation,
     random_heisenberg_poly,
     random_symmetric_instance,
-    s1_classification_check,
     smallest_non_fermat_base,
     zp2_divisibility_check,
     zp2_sharp_family,
@@ -78,14 +74,12 @@ from .search import (
 )
 from ._roots import polynomial_roots
 from .mahler import (
-    LaurentPoly,
     LimitMeasure,
-    d_infinity_h_fourcomponent,
     d_infinity_h_measure,
     d_infinity_measure,
     heisenberg_infinite_measure,
     mahler_measure,
 )
-from .parsing import bivariate_yz, parse_poly, poly_vars, univariate
+from .parsing import bivariate_yz, parse_poly, univariate
 
 __version__ = "0.1.0"

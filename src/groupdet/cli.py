@@ -47,7 +47,6 @@ from .groups import (
     poly_from_json,
 )
 from .mahler import (
-    LaurentPoly,
     d_infinity_h_measure,
     d_infinity_measure,
     heisenberg_infinite_measure,
@@ -353,10 +352,8 @@ def _cmd_measure(ns):
         results.update(value=limit.value, points=ns.points, slices=limit.slices,
                        max_iterations=limit.max_iterations, error_estimate=limit.error_estimate)
     else:
-        f = LaurentPoly(univariate(terms_f, "x"))
-        g = LaurentPoly(univariate(terms_g, "x"))
         fn = d_infinity_measure if ns.which == "dinf" else d_infinity_h_measure
-        results["value"] = fn(f, g)
+        results["value"] = fn(univariate(terms_f, "x"), univariate(terms_g, "x"))
     echo = {"cmd": "measure", "which": ns.which, "f": ns.f, "g": ns.g,
             "points": ns.points if ns.which == "heis" else None}
     return results, 0, None, _echo_digest(echo)

@@ -39,19 +39,8 @@ class CycInt(RingElement):
         return cls(p, (n,) + (0,) * (p - 2))
 
     @classmethod
-    def zero(cls, p: int) -> "CycInt":
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
     def one(cls, p: int) -> "CycInt":
         return cls.from_int(p, 1)
-
-    @classmethod
-    def root(cls, p: int, k: int = 1) -> "CycInt":
-        """The root of unity w^k."""
-        acc = [0] * p
-        acc[k % p] = 1
-        return cls.from_exponent_vector(p, acc)
 
     @classmethod
     def from_exponent_vector(cls, p: int, vec) -> "CycInt":

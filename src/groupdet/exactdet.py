@@ -1,9 +1,9 @@
 """Exact determinants over the integers and other domains.
 
-One Bareiss elimination serves matrices over any integral domain with an
-exact division that can report a nonzero remainder: Z[w], Z[y], and Z,
-where ``det_int`` uses it for small matrices and a certified multimodular
-elimination for large ones (Cayley matrices, circulants).
+One Bareiss elimination serves matrices over Z[w] (Heisenberg blocks of
+``CycInt`` entries) and over Z, where ``det_int`` uses it for small
+matrices and a certified multimodular elimination for large ones (Cayley
+matrices, circulants).
 """
 
 from __future__ import annotations

@@ -181,10 +181,6 @@ class GroupSpec:
             if not all(np.array_equal(t[t[a]], t[a][t]) for a in range(n)):
                 raise InvalidParameter("multiplication table is not associative")
 
-    def is_abelian(self) -> bool:
-        return all(self.mul[i][j] == self.mul[j][i]
-                   for i in range(self.order) for j in range(i))
-
 
 def describe_group(kind, params) -> dict:
     """The report's description of a group, without building it."""
@@ -344,37 +340,6 @@ class GroupRingElt:
         self.group = group
         self.coeffs = coeffs
 
-    @classmethod
-    def from_terms(cls, group: GroupSpec, terms) -> "GroupRingElt":
-        return cls(group, kind_of(group.kind).flat_coeffs(group.params, terms))
-
-    def value_sum(self) -> int:
-        """Evaluation at the trivial character (all generators -> 1)."""
-        return sum(self.coeffs)
-
-    def convolve(self, other: "GroupRingElt") -> "GroupRingElt":
-        if other.group is not self.group:
-            raise InvalidParameter("operands live over different groups")
-        mul = self.group.mul
-        out = [0] * self.group.order
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            row = mul[i]
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[row[j]] += a * b
-        return GroupRingElt(self.group, out)
-
-    def translate(self, g: int) -> "GroupRingElt":
-        """Left multiplication by the group element with index g."""
-        mul = self.group.mul
-        out = [0] * self.group.order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[mul[g][j]] += c
-        return GroupRingElt(self.group, out)
-
 
 def cayley_matrix(f: GroupRingElt):
     """The order x order matrix with entry (i, j) = coeff at g_i * g_j^(-1)."""
@@ -394,62 +359,6 @@ def group_determinant(f: GroupRingElt, max_order: int = MAX_ORACLE_ORDER) -> int
     """Exact determinant of the Cayley matrix (the definition, un-factored)."""
     check_oracle_order(f.group.order, max_order)
     return det_int(cayley_matrix(f))
-
-
-# -- Heisenberg words ----------------------------------------------------
-
-
-def heisenberg_normal_form(terms, p: int) -> list:
-    """Fold words in the generators into normal-form coefficients: the
-    vector ``KINDS["heisenberg"].flat_coeffs((p,), ...)`` gives, with the
-    coefficient of x^i y^j z^k at (i * p + j) * p + k.
-
-    Each term is (word, coefficient) where a word is a string like
-    "yx", "x^2z", "y^-1x" (letters x, y, z with optional integer
-    exponents, whitespace and '*' ignored).  Words multiply left to
-    right under yx = xyz with z central, so e.g. "yx" lands on the
-    monomial x y z.
-    """
-    spec = KINDS["heisenberg"]
-    spec.check((p,))
-    placed = []
-    for word, c in terms:
-        triple = (0, 0, 0)
-        for gen, e in _parse_word(word):
-            if gen == "x":
-                step = (e % p, 0, 0)
-            elif gen == "y":
-                step = (0, e % p, 0)
-            else:
-                step = (0, 0, e % p)
-            triple = _heisenberg_mul((p,), triple, step)
-        placed.append((triple, c))
-    return spec.flat_coeffs((p,), placed)
-
-
-def _parse_word(word: str):
-    pairs = []
-    i = 0
-    s = word.replace(" ", "").replace("*", "")
-    while i < len(s):
-        gen = s[i]
-        if gen not in "xyz":
-            raise ParseError(f"unexpected character {gen!r} in word {word!r}")
-        i += 1
-        e = 1
-        if i < len(s) and s[i] == "^":
-            i += 1
-            j = i
-            if j < len(s) and s[j] == "-":
-                j += 1
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            if j == i or s[i:j] == "-":
-                raise ParseError(f"missing exponent after '^' in word {word!r}")
-            e = int(s[i:j])
-            i = j
-        pairs.append((gen, e))
-    return pairs
 
 
 # -- JSON polynomial format ----------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._roots import _aberth, polynomial_roots
 from .errors import InvalidParameter, ZeroPolynomial, ZeroSlice
+from .polyring import times_reciprocal
 
 # Slice rows go through the root kernel in chunks whose working set, the
 # (B, n, n) difference block and some sixteen (B, n) vectors of complex
@@ -24,121 +25,44 @@ from .errors import InvalidParameter, ZeroPolynomial, ZeroSlice
 _BLOCK_BYTES = 1 << 20
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in one variable.
-
-    Construct from a dict {exponent: coefficient}, an iterable of
-    (exponent, coefficient) pairs, or a plain coefficient sequence
-    (exponents 0, 1, ...).  Zero coefficients are dropped.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, data=()):
-        if isinstance(data, LaurentPoly):
-            self.terms = dict(data.terms)
-            return
-        if isinstance(data, dict):
-            items = data.items()
-        elif data and not isinstance(data, (list, tuple)):
-            items = list(data)
-        elif data and not isinstance(data[0], tuple):
-            items = list(enumerate(data))
-        else:
-            items = list(data)
-        terms = {}
-        for e, c in items:
-            if c:
-                terms[int(e)] = terms.get(int(e), 0) + c
-                if not terms[int(e)]:
-                    del terms[int(e)]
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"LaurentPoly({dict(sorted(self.terms.items()))})"
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-            if not out[e]:
-                del out[e]
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return LaurentPoly({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "LaurentPoly":
-        """The substitution x -> 1/x (coefficient reversal)."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
-
-    def dense(self):
-        """(lowest exponent, ascending coefficient list)."""
-        if not self.terms:
-            return 0, []
-        lo = min(self.terms)
-        hi = max(self.terms)
-        out = [0] * (hi - lo + 1)
-        for e, c in self.terms.items():
-            out[e - lo] = c
-        return lo, out
+def _dense(f) -> list:
+    """Coefficients of f from its lowest nonzero term to its highest: f is a
+    {exponent: coefficient} dict, as ``parsing.univariate`` returns, or a
+    coefficient sequence from exponent 0.  Monomial shifts do not matter
+    to any measure here, so the lowest exponent is dropped."""
+    if isinstance(f, dict):
+        terms = {int(e): c for e, c in f.items() if c}
+        if not terms:
+            return []
+        lo = min(terms)
+        f = [0] * (max(terms) - lo + 1)
+        for e, c in terms.items():
+            f[e - lo] = c
+    nonzero = [i for i, c in enumerate(f) if c]
+    return list(f[nonzero[0]:nonzero[-1] + 1]) if nonzero else []
 
 
-def _as_laurent(f) -> LaurentPoly:
-    return f if isinstance(f, LaurentPoly) else LaurentPoly(f)
+def _times_reciprocals(f, g) -> tuple:
+    """f f~ and g g~ (~ is x -> 1/x), as coefficient lists of exponents
+    1 - n to n - 1, for n the longer dense length: modulo x^(2n-1) - 1
+    nothing wraps, and the negative exponents sit at the top."""
+    f, g = _dense(f), _dense(g)
+    n = max(len(f), len(g), 1)
+    out = []
+    for c in (f, g):
+        r = times_reciprocal(c, 2 * n - 1)
+        out.append(r[n:] + r[:n])
+    return tuple(out)
 
 
 def mahler_measure(f) -> float:
-    """Logarithmic Mahler measure of a one-variable Laurent polynomial:
+    """Logarithmic Mahler measure of a one-variable Laurent polynomial
+    (a dict or a coefficient sequence, as ``_dense`` reads them):
     log |leading coefficient| plus log of every root modulus above 1.
     Monomial shifts do not matter.  Raises ZeroPolynomial on 0."""
-    f = _as_laurent(f)
-    if f.is_zero():
+    c = _dense(f)
+    if not c:
         raise ZeroPolynomial("measure of the zero polynomial")
-    _, c = f.dense()
     m = math.log(abs(c[-1]))
     if len(c) > 1:
         for r in polynomial_roots(c):
@@ -152,10 +76,9 @@ def d_infinity_measure(f, g) -> float:
     """Measure of f(x) + y g(x) over the infinite dihedral group:
     half the Mahler measure of f f~ - g g~ (~ is x -> 1/x).  The
     combination vanishing identically (e.g. g = +-f~) is an error."""
-    f = _as_laurent(f)
-    g = _as_laurent(g)
-    h = f * f.reciprocal() - g * g.reciprocal()
-    if h.is_zero():
+    ff, gg = _times_reciprocals(f, g)
+    h = [a - b for a, b in zip(ff, gg)]
+    if not any(h):
         raise ZeroPolynomial("f f~ - g g~ vanishes identically")
     return 0.5 * mahler_measure(h)
 
@@ -164,28 +87,11 @@ def d_infinity_h_measure(f, g) -> float:
     """Measure of f(x) + y g(x) over the infinite dihedral group with an
     adjoined central involution: the average of the measures of
     f f~ - g g~ and f f~ + g g~, each weighted 1/4."""
-    f = _as_laurent(f)
-    g = _as_laurent(g)
-    a = f * f.reciprocal() - g * g.reciprocal()
-    b = f * f.reciprocal() + g * g.reciprocal()
-    if a.is_zero() or b.is_zero():
+    ff, gg = _times_reciprocals(f, g)
+    a = [x - y for x, y in zip(ff, gg)]
+    b = [x + y for x, y in zip(ff, gg)]
+    if not any(a) or not any(b):
         raise ZeroPolynomial("a combination f f~ -+ g g~ vanishes identically")
-    return 0.25 * (mahler_measure(a) + mahler_measure(b))
-
-
-def d_infinity_h_fourcomponent(f0, f1, f2, f3) -> float:
-    """Four-component form of the central-extension measure, for
-    F = f0 + y f1 + w f2 + y w f3 with w the central involution.
-    Reduces to d_infinity_h_measure(f, g) at (f, g, 0, 0)."""
-    f0, f1, f2, f3 = (_as_laurent(t) for t in (f0, f1, f2, f3))
-    sp = f0 + f2
-    sm = f0 - f2
-    tp = f1 + f3
-    tm = f1 - f3
-    a = sp * sp.reciprocal() - tp * tp.reciprocal()
-    b = sm * sm.reciprocal() + tm * tm.reciprocal()
-    if a.is_zero() or b.is_zero():
-        raise ZeroPolynomial("a component combination vanishes identically")
     return 0.25 * (mahler_measure(a) + mahler_measure(b))
 
 
@@ -206,8 +112,8 @@ def heisenberg_infinite_measure(f0, fk, points: int = 512) -> LimitMeasure:
     Only this binomial-in-x shape has the closed slice form: for each z
     on the unit circle the integrand is the larger of the two slice
     Mahler measures in y, and the result is the mean over ``points``
-    equally spaced z.  Inputs are {(y_exp, z_exp): coefficient} dicts
-    (or LaurentPoly for pure-y polynomials).  A slice vanishing
+    equally spaced z.  Inputs are {(y_exp, z_exp): coefficient} dicts (a
+    plain integer key is a pure power of y).  A slice vanishing
     identically raises ZeroSlice; an identically-zero input raises
     ZeroPolynomial.  The z grid goes through the root kernel in chunks,
     so memory does not grow with ``points``.
@@ -240,8 +146,6 @@ def heisenberg_infinite_measure(f0, fk, points: int = 512) -> LimitMeasure:
 
 
 def _as_bivariate(f) -> dict:
-    if isinstance(f, LaurentPoly):
-        return {(e, 0): c for e, c in f.terms.items()}
     if isinstance(f, dict):
         out = {}
         for key, c in f.items():

@@ -10,8 +10,9 @@ block of such vectors per call), the binomial two-product shortcut, and
 one twisted circulant (``circulant_det``, modulo x^n - 1 or x^n + 1) for
 the cyclic, dihedral and dicyclic routes, eliminated by
 ``exactdet.det_int`` (Bareiss for small n, certified multimodular
-above).  Every path returns exact integers and is cross-checked against
-the Cayley-matrix oracle in tests.
+above).  The dihedral and dicyclic correlations f f~ come from
+``polyring.times_reciprocal``.  Every path returns exact integers and
+is cross-checked against the Cayley-matrix oracle in tests.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .cyclotomic import CycInt, eval_bivariate_at_roots
 from .errors import InvalidParameter, NotInteger
 from .exactdet import det_bareiss, det_int, is_prime
-from .polyring import IntPoly
+from .polyring import times_reciprocal
 
 
 def certified_int_product(values) -> int:
@@ -166,21 +167,6 @@ def heisenberg_measure(p: int, coeffs) -> HeisenbergFactorization:
     return _factorization(p, m1, det_bareiss(heisenberg_phi_matrix(p, coeffs, 1)))
 
 
-def heisenberg_fourier_coeffs(p: int, coeffs) -> tuple:
-    """Coefficients c_0..c_{p-1} of the averaged circulant product.
-
-    The product of F(t, y, 1) over p-th roots of unity t equals the
-    determinant of the circulant with symbol F(x, y, 1); expanding it in
-    Z[y] (a domain, so Bareiss applies) and reducing mod y^p - 1 gives a
-    polynomial all of whose non-constant coefficients are divisible by p
-    and whose constant term drives the mod-p^3 congruence.
-    """
-    g = [IntPoly(row) for row in _z_collapse(p, coeffs)]
-    rows = [[g[(r - c) % p] for c in range(p)] for r in range(p)]
-    det = det_bareiss(rows)
-    return tuple(det.fold(p).padded(p))
-
-
 def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorization:
     """Shortcut for binomial-in-x polynomials F = f0(y,z) + x^k fk(y,z).
 
@@ -220,26 +206,14 @@ def circulant_det(h, n: int, sign: int = 1) -> int:
     return det_int([h[r::-1] + wrapped[:r:-1] for r in range(n)])
 
 
-def _correlation(f) -> list:
-    """Coefficients of f(x) f(1/x) modulo x^m - 1, for m = len(f)."""
-    m = len(f)
-    out = [0] * m
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(f):
-                if b:
-                    out[(i - j) % m] += a * b
-    return out
-
-
 def dihedral_measure(f, g, n: int) -> int:
     """Group determinant over the dihedral group of order 2n for
     F = f(x) + y g(x), computed as the circulant determinant of
     f f~ - g g~ reduced mod x^n - 1 (f~ is coefficient reversal)."""
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    cf = _correlation(_fold_vector(f, n))
-    cg = _correlation(_fold_vector(g, n))
+    cf = times_reciprocal(map(int, f), n)
+    cg = times_reciprocal(map(int, g), n)
     return circulant_det([a - b for a, b in zip(cf, cg)], n)
 
 
@@ -251,19 +225,11 @@ def dicyclic_measure(f, g, n: int) -> int:
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
     # correlations modulo x^2n - 1 = (x^n - 1)(x^n + 1), then split
-    cf = _correlation(_fold_vector(f, 2 * n))
-    cg = _correlation(_fold_vector(g, 2 * n))
+    cf = times_reciprocal(map(int, f), 2 * n)
+    cg = times_reciprocal(map(int, g), 2 * n)
     minus = [a - b + c - d for a, b, c, d in zip(cf, cg, cf[n:], cg[n:])]
     plus = [a + b - c - d for a, b, c, d in zip(cf, cg, cf[n:], cg[n:])]
     return circulant_det(minus, n) * circulant_det(plus, n, -1)
-
-
-def _fold_vector(f, n: int) -> list:
-    out = [0] * n
-    for i, c in enumerate(f):
-        if c:
-            out[i % n] += int(c)
-    return out
 
 
 # -- batched kernel for p = 3 -----------------------------------------------

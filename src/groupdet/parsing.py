@@ -123,19 +123,6 @@ def parse_poly(text: str) -> dict:
     return out
 
 
-def poly_vars(terms: dict) -> set:
-    """Which of x, y, z actually occur with nonzero exponent."""
-    used = set()
-    for (ex, ey, ez), _ in terms.items():
-        if ex:
-            used.add("x")
-        if ey:
-            used.add("y")
-        if ez:
-            used.add("z")
-    return used
-
-
 def univariate(terms: dict, var: str) -> dict:
     """Project onto a single variable; ParseError if others occur."""
     idx = _VARS[var]

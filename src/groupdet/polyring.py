@@ -1,144 +1,13 @@
-"""Dense univariate polynomials over Z with exact division.
+"""The package's one integer polynomial product, on dense coefficient lists.
 
-Used wherever a computation must stay in Z[y] before a final reduction
-modulo y^n - 1 or y^n + 1: the symbolic circulant determinant behind the
-proof-object coefficients, power-sum identities, and the folded products
-in the explicit constructions.
+``mul_fold_cyclic`` multiplies modulo y^n - 1.  With n at least the
+length of the plain product it never wraps, so it is the plain product
+too.  ``times_reciprocal`` forms f f~ with it, for the dihedral and
+dicyclic circulants and the infinite dihedral measures, and the
+verifiers take their power sums and folded powers from it.
 """
 
 from __future__ import annotations
-
-from .errors import InexactDivision
-from .exactdet import RingElement
-
-
-class IntPoly(RingElement):
-    """Polynomial in one variable over Z, coefficients ascending.
-
-    Normalized so the zero polynomial is the empty tuple and nonzero
-    polynomials carry no trailing zero coefficients.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and not c[-1]:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def constant(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)})"
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def divexact(self, other):
-        """Exact polynomial quotient; raises InexactDivision on remainder."""
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self:
-            return IntPoly()
-        a = list(self.coeffs)
-        b = other.coeffs
-        if len(a) < len(b):
-            raise InexactDivision(f"{self!r} is not divisible by {other!r}")
-        lead = b[-1]
-        q = [0] * (len(a) - len(b) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            head, r = divmod(a[k + len(b) - 1], lead)
-            if r:
-                raise InexactDivision(f"{self!r} is not divisible by {other!r}")
-            q[k] = head
-            if head:
-                for j, bj in enumerate(b):
-                    a[k + j] -= head * bj
-        if any(a):
-            raise InexactDivision(f"{self!r} is not divisible by {other!r}")
-        return IntPoly(q)
-
-    def fold(self, n: int) -> "IntPoly":
-        """Reduce modulo y^n - 1 (wrap exponents cyclically)."""
-        out = [0] * n
-        for e, c in enumerate(self.coeffs):
-            out[e % n] += c
-        return IntPoly(out)
-
-    def eval_int(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def padded(self, n: int) -> list:
-        """Coefficient list of length exactly n (degree must be < n)."""
-        if len(self.coeffs) > n:
-            raise ValueError(f"degree {self.degree} does not fit in {n} slots")
-        return list(self.coeffs) + [0] * (n - len(self.coeffs))
 
 
 def mul_fold_cyclic(a, b, n: int) -> list:
@@ -166,3 +35,12 @@ def pow_fold_cyclic(base, e: int, n: int) -> list:
         cur = mul_fold_cyclic(cur, cur, n)
         e >>= 1
     return out
+
+
+def times_reciprocal(f, m: int) -> list:
+    """f(y) f(1/y) modulo y^m - 1, with f folded to length m first: the
+    product of f and f~, whose coefficients modulo y^m - 1 are f[0],
+    f[m-1], ..., f[1].  For m >= 2 len(f) - 1 nothing wraps, and the
+    coefficient of y^d, |d| < len(f), sits at index d mod m."""
+    f = mul_fold_cyclic(f, [1], m)
+    return mul_fold_cyclic(f, f[:1] + f[:0:-1], m)

@@ -318,12 +318,6 @@ def h3_family_values(m: int) -> list:
     return out
 
 
-def s1_classification_check(m: int, p: int) -> bool:
-    """A value coprime to p is attainable over the order-p^3 Heisenberg
-    group iff m^(p-1) == 1 mod p^3 (equivalently v_p(m^(p-1) - 1) >= 3)."""
-    return is_power_residue(m, p, 3)
-
-
 # -- power-sum lemmas --------------------------------------------------------
 
 

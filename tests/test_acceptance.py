@@ -16,7 +16,6 @@ import pytest
 
 from acceptance_log import record
 from groupdet import (
-    LaurentPoly,
     SearchConfig,
     achieve_construction,
     check_measure_congruence,
@@ -31,12 +30,12 @@ from groupdet import (
     heisenberg_infinite_measure,
     heisenberg_measure,
     heisenberg_sharp_family,
+    is_power_residue,
     lambda_heisenberg,
     mahler_measure,
     min_coprime_residue,
     random_heisenberg_poly,
     random_symmetric_instance,
-    s1_classification_check,
     zp2_divisibility_check,
     zp2_sharp_family,
 )
@@ -243,8 +242,8 @@ def test_criterion_11_salem_polynomial_reproduction():
         t0 = time.perf_counter()
         lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
         assert mahler_measure(lehmer) == pytest.approx(LEHMER_LOG, abs=1e-9)
-        f = LaurentPoly({0: -1, 2: 1})
-        g = LaurentPoly({0: -1, 4: 1, 5: 1})
+        f = {0: -1, 2: 1}
+        g = {0: -1, 4: 1, 5: 1}
         assert d_infinity_measure(f, g) == pytest.approx(LEHMER_LOG / 2,
                                                          abs=1e-8)
         assert time.perf_counter() - t0 < 1.0
@@ -309,7 +308,7 @@ def test_criterion_07_coprime_values_satisfy_residue_classification():
         assert _COPRIME
         for m, p in _COPRIME:
             assert pow(m, p - 1, p ** 3) == 1
-            assert s1_classification_check(m, p)
+            assert is_power_residue(m, p, 3)
         ok = True
     finally:
         record(7, f"all {len(_COPRIME)} coprime determinants computed "

@@ -19,7 +19,7 @@ import pytest
 import groupdet
 from groupdet import CycInt, GroupRingElt, NotInteger, build_group, group_determinant
 from groupdet.cli import main
-from groupdet.groups import _cached_group, poly_from_json, poly_to_json
+from groupdet.groups import KINDS, _cached_group, poly_from_json, poly_to_json
 
 LEHMER_LOG = 0.16235761200773813943
 
@@ -255,8 +255,8 @@ def test_search_mixed_product_matches_oracle(capsys):
               for c in product((-1, 0, 1), repeat=6)}
     assert res["attained_values"] == [str(v) for v in sorted(values)]
     assert abs(int(res["min_nontrivial"])) == min(abs(v) for v in values if abs(v) >= 2)
-    witness = GroupRingElt.from_terms(
-        g, [(t["exps"], int(t["coef"])) for t in res["witness"]])
+    witness = GroupRingElt(g, KINDS["product"].flat_coeffs(
+        (2, 3), [(t["exps"], int(t["coef"])) for t in res["witness"]]))
     assert group_determinant(witness) == int(res["min_nontrivial"])
 
 

@@ -15,6 +15,11 @@ from groupdet.cyclotomic import eval_bivariate_at_roots
 from groupdet.errors import PrimeMismatch
 
 
+def _root(p, k=1):
+    """The root of unity w^k."""
+    return CycInt.from_exponent_vector(p, [int(e == k % p) for e in range(p)])
+
+
 def _random_elt(rng, p, height=5):
     return CycInt(p, [rng.randint(-height, height) for _ in range(p - 1)])
 
@@ -30,25 +35,25 @@ def test_is_prime_small():
 def test_square_of_one_minus_root():
     # (1 - w)^2 = 1 - 2w + w^2 and w^2 = -1 - w at p = 3, so (0, -3)
     p = 3
-    u = CycInt.from_int(p, 1) - CycInt.root(p)
+    u = CycInt.from_int(p, 1) - _root(p)
     assert (u * u).coeffs == (0, -3)
 
 
 def test_root_times_root():
     # w * w at p = 3 lands on the reduced representative -1 - w
-    w = CycInt.root(3)
+    w = _root(3)
     assert (w * w).coeffs == (-1, -1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_minimal_polynomial_vanishes(p):
     for k in range(1, p):
-        s = CycInt.zero(p)
+        s = CycInt.from_int(p, 0)
         for i in range(p):
-            s = s + CycInt.root(p, k) ** i
+            s = s + _root(p, k) ** i
         assert not s
     # ... while at 1 the same sum is p
-    assert sum((CycInt.one(p) for _ in range(p)), CycInt.zero(p)) \
+    assert sum((CycInt.one(p) for _ in range(p)), CycInt.from_int(p, 0)) \
         == CycInt.from_int(p, p)
 
 
@@ -62,7 +67,7 @@ def test_ring_axioms_random(p):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a - a == CycInt.zero(p)
+        assert a - a == CycInt.from_int(p, 0)
         assert a * CycInt.one(p) == a
 
 
@@ -79,8 +84,8 @@ def test_power_matches_repeated_multiplication():
 def test_from_exponent_vector():
     # vec[k] counts w^k: 2 + w - 3 w^2 at p = 3 reduces to (5, 4)
     v = CycInt.from_exponent_vector(3, [2, 1, -3])
-    assert v == CycInt.from_int(3, 2) + CycInt.root(3) * 1 \
-        - (CycInt.root(3) ** 2) * 3
+    assert v == CycInt.from_int(3, 2) + _root(3) * 1 \
+        - (_root(3) ** 2) * 3
     assert v.coeffs == (5, 4)
 
 
@@ -92,13 +97,13 @@ def test_galois_maps_are_ring_maps():
         for k in range(1, p):
             assert (a + b).galois(k) == a.galois(k) + b.galois(k)
             assert (a * b).galois(k) == a.galois(k) * b.galois(k)
-    w = CycInt.root(p)
+    w = _root(p)
     assert w.galois(3) == w ** 3
 
 
 def test_norm_and_conjugates():
     p = 5
-    u = CycInt.from_int(p, 1) - CycInt.root(p)
+    u = CycInt.from_int(p, 1) - _root(p)
     # u times its conjugates is the norm, and N(1 - w) = p
     assert u * u.conjugates_product() == CycInt.from_int(p, p)
     assert u.norm() == p
@@ -110,7 +115,7 @@ def test_norm_and_conjugates():
 
 def test_as_integer():
     assert CycInt.from_int(7, -12).as_integer() == -12
-    assert CycInt.root(7).as_integer() is None
+    assert _root(7).as_integer() is None
 
 
 def test_divexact_roundtrip():
@@ -126,7 +131,7 @@ def test_divexact_roundtrip():
 
 def test_divexact_rejects_inexact():
     p = 5
-    w = CycInt.root(p)
+    w = _root(p)
     two = CycInt.from_int(p, 2)
     with pytest.raises(InexactDivision):
         (w + CycInt.one(p)).divexact(two)
@@ -135,11 +140,11 @@ def test_divexact_rejects_inexact():
 def test_divexact_with_a_warm_divisor_still_certifies(monkeypatch):
     p = 5
     rng = random.Random(10)
-    d = CycInt.from_int(p, 2) + CycInt.root(p)  # norm 11, not a unit
+    d = CycInt.from_int(p, 2) + _root(p)  # norm 11, not a unit
     a = _random_elt(rng, p)
     assert (a * d).divexact(d) == a
     assert d.norm() == 11
-    zero = CycInt.zero(p)
+    zero = CycInt.from_int(p, 0)
     assert zero.norm() == 0
     # both divisors now carry their clearing data; recomputing it fails
     def recompute(self):
@@ -158,9 +163,9 @@ def test_divexact_with_a_warm_divisor_still_certifies(monkeypatch):
 
 def test_mixed_primes_rejected():
     with pytest.raises(PrimeMismatch):
-        CycInt.root(3) + CycInt.root(5)
+        _root(3) + _root(5)
     with pytest.raises(PrimeMismatch):
-        CycInt.root(3) * CycInt.root(5)
+        _root(3) * _root(5)
 
 
 def test_eval_bivariate_at_roots_one_row():
@@ -168,14 +173,14 @@ def test_eval_bivariate_at_roots_one_row():
     p = 5
     coeffs = [2, 0, 1]
     for k in range(p):
-        expect = CycInt.root(p, k) ** 2 + CycInt.from_int(p, 2)
+        expect = _root(p, k) ** 2 + CycInt.from_int(p, 2)
         assert eval_bivariate_at_roots([coeffs], 0, k, p) == expect
     assert eval_bivariate_at_roots([coeffs], 0, 0, p).as_integer() == 3
 
 
 def test_integer_coercion_in_arithmetic():
     p = 3
-    w = CycInt.root(p)
+    w = _root(p)
     assert w + 1 == CycInt(p, [1, 1])
     assert 1 - w == CycInt(p, [1, -1])
     assert w * 2 == CycInt(p, [0, 2])

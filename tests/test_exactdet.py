@@ -11,7 +11,6 @@ from groupdet import CycInt, GroupDetError, InexactDivision, det_bareiss, det_in
 from groupdet import exactdet
 from groupdet.errors import InvalidParameter
 from groupdet.exactdet import MULTIMODULAR_CUTOFF
-from groupdet.polyring import IntPoly
 
 
 def _det_cofactor(rows):
@@ -126,14 +125,6 @@ def test_cyclotomic_entries_galois_equivariance():
         for k in range(1, p):
             mapped = [[x.galois(k) for x in row] for row in a]
             assert det_bareiss(mapped) == d.galois(k)
-
-
-def test_polynomial_entries():
-    x = IntPoly([0, 1])
-    one = IntPoly([1])
-    # Vandermonde-flavored 2x2 over Z[y]: det = x*x - 1
-    d = det_bareiss([[x, one], [one, x]])
-    assert d == IntPoly([-1, 0, 1])
 
 
 def test_inexact_division_is_reported():

@@ -1,4 +1,4 @@
-"""Cayley tables, group-ring elements, and the noncommutative normal form."""
+"""Cayley tables, group-ring elements, and the Heisenberg label product."""
 
 import json
 import random
@@ -12,11 +12,10 @@ from groupdet import (
     build_group,
     cayley_matrix,
     group_determinant,
-    heisenberg_normal_form,
     poly_from_json,
     poly_to_json,
 )
-from groupdet.groups import KINDS, GroupSpec, check_oracle_order
+from groupdet.groups import KINDS, GroupSpec, _heisenberg_mul, check_oracle_order
 
 H3 = KINDS["heisenberg"]
 
@@ -34,12 +33,13 @@ def test_orders_and_kinds():
 
 
 def test_abelian_flags():
-    assert build_group("cyclic", 5).is_abelian()
-    assert build_group("product", 2, 2).is_abelian()
-    assert not build_group("heisenberg", 3).is_abelian()
-    assert not build_group("dihedral", 6).is_abelian()
-    assert not build_group("dicyclic", 8).is_abelian()
-    assert build_group("dihedral", 4).is_abelian()  # the Klein four-group
+    # a built table commutes exactly when its group is abelian
+    for kind, params, abelian in [
+            ("cyclic", (5,), True), ("product", (2, 2), True),
+            ("dihedral", (4,), True),  # the Klein four-group
+            ("heisenberg", (3,), False), ("dihedral", (6,), False), ("dicyclic", (8,), False)]:
+        t = build_group(kind, *params).mul
+        assert all(t[i][j] == t[j][i] for i in range(len(t)) for j in range(i)) == abelian
 
 
 def test_invalid_parameters():
@@ -117,9 +117,17 @@ def test_flat_coeffs_reduce_exponents_and_count_them():
 
 
 def _random_elt(rng, g, height=4):
-    return GroupRingElt.from_terms(
-        g, [(g.element_exps[i], rng.randint(-height, height))
-            for i in range(g.order)])
+    return GroupRingElt(g, [rng.randint(-height, height) for _ in range(g.order)])
+
+
+def _convolve(a, b):
+    """The group-ring product a * b, read off the Cayley table."""
+    mul = a.group.mul
+    out = [0] * a.group.order
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[mul[i][j]] += x * y
+    return GroupRingElt(a.group, out)
 
 
 @pytest.mark.parametrize("g", [build_group("cyclic", 4), build_group("dihedral", 6)])
@@ -128,7 +136,7 @@ def test_determinant_multiplicative_under_convolution(g):
     for _ in range(15):
         a = _random_elt(rng, g, 3)
         b = _random_elt(rng, g, 3)
-        assert group_determinant(a.convolve(b)) == \
+        assert group_determinant(_convolve(a, b)) == \
             group_determinant(a) * group_determinant(b)
 
 
@@ -138,12 +146,13 @@ def test_translation_preserves_absolute_determinant():
     f = _random_elt(rng, g)
     d = group_determinant(f)
     for t in range(g.order):
-        assert abs(group_determinant(f.translate(t))) == abs(d)
+        delta = GroupRingElt(g, [int(i == t) for i in range(g.order)])
+        assert abs(group_determinant(_convolve(delta, f))) == abs(d)
 
 
 def test_identity_element_determinant():
     g = build_group("heisenberg", 3)
-    one = GroupRingElt.from_terms(g, [((0, 0, 0), 1)])
+    one = GroupRingElt(g, H3.flat_coeffs((3,), [((0, 0, 0), 1)]))
     assert group_determinant(one) == 1
     mat = cayley_matrix(one)
     assert all(mat[i][j] == (1 if i == j else 0)
@@ -154,19 +163,13 @@ def test_oracle_order_cap():
     with pytest.raises(InvalidParameter):
         check_oracle_order(625)  # product 5,5,5,5 is over the safety cap
     g = build_group("cyclic", 3)
-    f = GroupRingElt.from_terms(g, [((0,), 1)])
+    f = GroupRingElt(g, [1, 0, 0])
     with pytest.raises(InvalidParameter):
         group_determinant(f, max_order=g.order - 1)
     assert group_determinant(f, max_order=g.order) == 1
 
 
-def test_value_sum():
-    g = build_group("cyclic", 3)
-    f = GroupRingElt.from_terms(g, [((0,), 2), ((1,), -5)])
-    assert f.value_sum() == -3
-
-
-# -- Heisenberg polynomials and the normal form ----------------------------
+# -- Heisenberg polynomials and the label product ---------------------------
 
 
 def test_heisenberg_poly_roundtrips():
@@ -180,48 +183,44 @@ def test_heisenberg_poly_roundtrips():
                                       ((1, 2, 0), 7)}
 
 
+def _word(p, word):
+    """The label of a product of generators, multiplied left to right."""
+    gens = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+    label = (0, 0, 0)
+    for letter in word:
+        label = _heisenberg_mul((p,), label, gens[letter])
+    return label
+
+
 def test_normal_form_single_swap():
-    # yx = xyz, so the word "yx" is the monomial with all three exponents 1
-    f = heisenberg_normal_form([("yx", 1)], 3)
-    assert H3.terms((3,), f) == [((1, 1, 1), 1)]
+    # yx = xyz: the product yx is the label with all three exponents 1
+    for p in (3, 5):
+        assert _word(p, "yx") == (1, 1, 1)
+        assert _word(p, "xy") == (1, 1, 0)
 
 
 def test_normal_form_double_swap():
     # y^2 x = x y^2 z^2
-    f = heisenberg_normal_form([("yyx", 1)], 3)
-    assert H3.terms((3,), f) == [((1, 2, 2), 1)]
-    assert H3.terms((3,), heisenberg_normal_form([("y^2x", 1)], 3)) == \
-        [((1, 2, 2), 1)]
+    for p in (3, 5):
+        assert _word(p, "yyx") == (1, 2, 2)
 
 
 def test_normal_form_matches_group_multiplication():
-    # evaluating the word letter by letter in the Cayley table must land
-    # on the same element the normal form names
+    # walking a word letter by letter through the Cayley table must land
+    # on the element whose label the label product gives
     g = build_group("heisenberg", 3)
-    from groupdet.groups import _parse_word
-
-    words = ["x", "y", "z", "yx", "xy", "zyx", "x^2y^2", "y^-1x^-1",
-             "xyzxyz", "y^2x^2z"]
-    for word in words:
-        f = heisenberg_normal_form([(word, 1)], 3)
-        (exps, c), = H3.terms((3,), f)
+    for word in ["x", "y", "z", "yx", "xy", "zyx", "xxyy", "xyzxyz", "yyxxz"]:
         idx = 0
-        for gen, e in _parse_word(word):
-            step = {"x": (e % 3, 0, 0), "y": (0, e % 3, 0), "z": (0, 0, e % 3)}[gen]
-            idx = g.mul[idx][g.element_exps.index(step)]
-        assert g.element_exps[idx] == exps
-
-
-def test_normal_form_bad_word():
-    with pytest.raises(ParseError):
-        heisenberg_normal_form([("xq", 1)], 3)
-    with pytest.raises(ParseError):
-        heisenberg_normal_form([("x^", 1)], 3)
+        for letter in word:
+            idx = g.mul[idx][g.element_exps.index(_word(3, letter))]
+        assert g.element_exps[idx] == _word(3, word)
 
 
 def test_central_generator_commutes():
-    f = heisenberg_normal_form([("zx", 1), ("xz", -1)], 3)
-    assert H3.terms((3,), f) == []
+    z = (0, 0, 1)
+    for p in (3, 5):
+        assert all(_heisenberg_mul((p,), z, a) == _heisenberg_mul((p,), a, z)
+                   for a in H3.labels((p,)))
 
 
 # -- JSON polynomial files --------------------------------------------------
@@ -340,6 +339,5 @@ def test_terms_invert_flat_coeffs(kind, params):
 
 def test_heisenberg_flat_follows_the_group_labels():
     f = H3.flat_coeffs((3,), [((1, 1, 0), 2), ((0, 0, 2), -1)])
-    elt = GroupRingElt.from_terms(build_group("heisenberg", 3), H3.terms((3,), f))
-    assert elt.coeffs == f
-    assert elt.value_sum() == sum(f)
+    terms = dict(H3.terms((3,), f))
+    assert [terms.get(e, 0) for e in build_group("heisenberg", 3).element_exps] == f

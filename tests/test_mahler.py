@@ -6,6 +6,7 @@ log of the largest root modulus of x^10+x^9-x^7-x^6-x^5-x^4-x^3+x+1
 """
 
 import cmath
+import json
 import math
 import random
 import tracemalloc
@@ -14,18 +15,20 @@ import numpy as np
 import pytest
 
 from groupdet import (
-    LaurentPoly,
     RootFindingFailed,
     ZeroPolynomial,
     ZeroSlice,
-    d_infinity_h_fourcomponent,
     d_infinity_h_measure,
     d_infinity_measure,
     heisenberg_infinite_measure,
     mahler_measure,
+    parse_poly,
     polynomial_roots,
+    univariate,
 )
 from groupdet._roots import _aberth
+from groupdet.cli import main
+from groupdet.mahler import _times_reciprocals
 
 LEHMER_COEFFS = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 LEHMER_LOG = 0.16235761200773813943
@@ -156,8 +159,8 @@ def test_monic_measure_is_nonnegative():
 
 
 def test_monomial_shift_invariance():
-    f = LaurentPoly({0: 3, 2: -1, 5: 4})
-    shifted = LaurentPoly({-3: 3, -1: -1, 2: 4})
+    f = {0: 3, 2: -1, 5: 4}
+    shifted = {-3: 3, -1: -1, 2: 4}
     assert mahler_measure(f) == pytest.approx(mahler_measure(shifted), abs=1e-12)
 
 
@@ -169,29 +172,27 @@ def test_measure_of_zero_rejected():
 def test_measure_accepts_equivalent_input_forms():
     a = mahler_measure([2, 0, -1])
     b = mahler_measure({0: 2, 2: -1})
-    c = mahler_measure(LaurentPoly([2, 0, -1]))
-    assert a == b == c
+    # zero end coefficients and dict zeros are dropped; a shift is exact
+    c = mahler_measure((0, 2, 0, -1, 0))
+    d = mahler_measure({-3: 2, -1: -1, 4: 0})
+    assert a == b == c == d
 
 
-# -- Laurent polynomial helper ----------------------------------------------------
+# -- the correlations f f~ and g g~ ---------------------------------------------------
 
 
 def test_laurent_arithmetic():
-    f = LaurentPoly({-1: 1, 1: 2})      # x^-1 + 2x
-    g = LaurentPoly({0: 3})
-    lo, dense = (f * g).dense()
-    assert (lo, dense) == (-1, [3, 0, 6])
-    lo, dense = (f * f).dense()
-    assert lo == -2
-    assert dense == [1, 0, 4, 0, 4]     # (x^-1 + 2x)^2 = x^-2 + 4 + 4x^2
+    # (x^-1 + 2x)(x + 2x^-1) = 2x^-2 + 5 + 2x^2, and 3 * 3 = 9, both
+    # from exponent -2 whatever the exponents of f and g
+    ff, gg = _times_reciprocals({-1: 1, 1: 2}, {0: 3})
+    assert (ff, gg) == ([2, 0, 5, 0, 2], [0, 0, 9, 0, 0])
+    assert _times_reciprocals({}, []) == ([0], [0])
 
 
 def test_laurent_reciprocal():
-    f = LaurentPoly([1, 2, 3])          # 1 + 2x + 3x^2
-    r = f.reciprocal()
-    lo, dense = r.dense()
-    assert lo == -2
-    assert dense == [3, 2, 1]
+    # (1 + 2x + 3x^2)(1 + 2x^-1 + 3x^-2), from a coefficient sequence
+    ff, gg = _times_reciprocals([1, 2, 3], [])
+    assert (ff, gg) == ([3, 8, 14, 8, 3], [0] * 5)
 
 
 # -- two-part infinite measures -----------------------------------------------------
@@ -200,8 +201,7 @@ def test_laurent_reciprocal():
 def test_dinf_reference_point():
     # f = x^2 - 1, g = x^5 + x^4 - 1 reproduces half the reference
     # constant: the combination f f~ - g g~ is the degree-10 minimal case
-    got = d_infinity_measure(LaurentPoly([-1, 0, 1]),
-                             LaurentPoly([-1, 0, 0, 0, 1, 1]))
+    got = d_infinity_measure([-1, 0, 1], [-1, 0, 0, 0, 1, 1])
     assert got == pytest.approx(LEHMER_LOG / 2, abs=1e-10)
 
 
@@ -210,31 +210,46 @@ def test_dinf_with_zero_g_is_plain_measure():
     for _ in range(15):
         deg = rng.randint(1, 8)
         f = [rng.randint(-4, 4) for _ in range(deg)] + [rng.choice([1, 2])]
-        assert d_infinity_measure(LaurentPoly(f), LaurentPoly([])) == \
-            pytest.approx(mahler_measure(f), abs=1e-8)
+        assert d_infinity_measure(f, []) == pytest.approx(mahler_measure(f), abs=1e-8)
 
 
 def test_dinf_degenerate_combination_rejected():
-    f = LaurentPoly([1, 2, 1])
+    f = [1, 2, 1]
     with pytest.raises(ZeroPolynomial):
         d_infinity_measure(f, f)  # f f~ - f f~ = 0
 
 
-def test_dinfh_fourcomponent_reduction():
-    f = LaurentPoly([2, 0, 1])
-    g = LaurentPoly([1, -1])
-    zero = LaurentPoly([])
-    assert d_infinity_h_fourcomponent(f, g, zero, zero) == \
-        pytest.approx(d_infinity_h_measure(f, g), abs=1e-12)
-
-
 def test_dinfh_is_average_of_two_measures():
-    f = LaurentPoly([3, 1])
-    g = LaurentPoly([1, 1])
-    a = f * f.reciprocal() - g * g.reciprocal()
-    b = f * f.reciprocal() + g * g.reciprocal()
+    f = [3, 1]
+    g = [1, 1]
+    # f f~ = 3x^-1 + 10 + 3x and g g~ = x^-1 + 2 + x, expanded by hand
+    a = {-1: 2, 0: 8, 1: 2}
+    b = {-1: 4, 0: 12, 1: 4}
     expect = 0.25 * (mahler_measure(a) + mahler_measure(b))
     assert d_infinity_h_measure(f, g) == pytest.approx(expect, abs=1e-12)
+
+
+# (f, g) -> (dinf, dinfh), recorded from the sparse-dict implementation
+# that the dense one replaced; both must hold to the last bit
+PINNED_DINF = {
+    ("x^2-1", "x^5+x^4-1"): (0.08117880600386901, 0.3818725677497087),
+    ("x^4-x^3-x^2-x+1", "1"): (0.36642883798682263, 0.575872505022754),
+    ("x^4-x^3-x^2-x+1", "1+x^2"): (0.48121182505960347, 0.6934791371215911),
+    ("x^-1+2x", "3"): (0.34657359140110905, 0.8277854159001442),
+    # f f~ - g g~ = x^-1 + 1 + x: the x^-2 and x^2 ends cancel and are trimmed
+    ("1+x+x^2", "1+x^2"): (0.34657359027997264, 0.47402137695024804),
+    ("x^3-x-1", "0"): (0.28119957432296183, 0.28119957432296183),
+}
+
+
+@pytest.mark.parametrize("f,g", PINNED_DINF)
+def test_dinf_values_are_pinned_bit_for_bit(f, g, capsys):
+    fd, gd = (univariate(parse_poly(s), "x") for s in (f, g))
+    want = PINNED_DINF[f, g]
+    assert (d_infinity_measure(fd, gd), d_infinity_h_measure(fd, gd)) == want
+    for which, value in zip(("dinf", "dinfh"), want):
+        assert main(["measure", which, "--f", f, "--g", g]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["value"] == value
 
 
 # -- the binomial Heisenberg limit ----------------------------------------------------

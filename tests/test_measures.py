@@ -8,6 +8,7 @@ group_determinant, which builds the honest n x n matrix and eliminates.
 
 import math
 import random
+from fractions import Fraction
 
 import cmath
 import pytest
@@ -25,15 +26,23 @@ from groupdet import (
     dihedral_measure,
     group_determinant,
     heisenberg_binomial_measure,
-    heisenberg_fourier_coeffs,
     heisenberg_measure,
     heisenberg_phi_matrix,
     measure_h3,
 )
-from groupdet.exactdet import MULTIMODULAR_CUTOFF, det_bareiss
+from groupdet.exactdet import MULTIMODULAR_CUTOFF, det_bareiss, det_int
 from groupdet.groups import KINDS, build_group, kind_of
 from groupdet.measures import H3_HEIGHT, certified_int_product
 from groupdet.verify import random_heisenberg_poly
+
+
+def _root(p, k=1):
+    """The root of unity w^k."""
+    return CycInt.from_exponent_vector(p, [int(e == k % p) for e in range(p)])
+
+
+def _elt(g, terms):
+    return GroupRingElt(g, kind_of(g.kind).flat_coeffs(g.params, terms))
 
 
 def _heisenberg_elt(p, f):
@@ -74,7 +83,7 @@ def test_table_route_equals_oracle(kind, data):
 
 def test_cyclic_three_simple_value():
     g = build_group("cyclic", 3)
-    f = GroupRingElt.from_terms(g, [((0,), 1), ((1,), 1)])  # 1 + x
+    f = _elt(g, [((0,), 1), ((1,), 1)])  # 1 + x
     # (1+1)(1+w)(1+w^2) = 2 * (w^3 + ... ) = 2
     assert abelian_measure(g.moduli, f.coeffs) == 2
     assert group_determinant(f) == 2
@@ -85,7 +94,7 @@ def test_cyclic_three_simple_value():
 def test_abelian_measure_matches_oracle(g):
     rng = random.Random(60 + g.order)
     for _ in range(30):
-        f = GroupRingElt.from_terms(
+        f = _elt(
             g, [(e, rng.randint(-5, 5)) for e in g.element_exps])
         assert abelian_measure(g.moduli, f.coeffs) == group_determinant(f)
 
@@ -107,7 +116,7 @@ def test_circulant_matches_oracle_composite_order():
     g = build_group("cyclic", 6)
     for _ in range(20):
         h = [rng.randint(-4, 4) for _ in range(6)]
-        f = GroupRingElt.from_terms(g, [((i,), c) for i, c in enumerate(h)])
+        f = _elt(g, [((i,), c) for i, c in enumerate(h)])
         assert circulant_det(h, 6) == group_determinant(f)
     # the rows are slices of h, so a vector of another length is refused
     from groupdet import InvalidParameter
@@ -118,7 +127,7 @@ def test_circulant_matches_oracle_composite_order():
 
 def test_certified_product_refuses_non_integers():
     with pytest.raises(NotInteger):
-        certified_int_product([CycInt.root(3)])
+        certified_int_product([_root(3)])
 
 
 # -- the order-p^3 block structure ------------------------------------------
@@ -131,7 +140,7 @@ def test_block_matrix_of_central_generator():
         m = heisenberg_phi_matrix(3, f, j)
         for r in range(3):
             for c in range(3):
-                expect = CycInt.root(3, j) if r == c else CycInt.zero(3)
+                expect = _root(3, j) if r == c else CycInt.from_int(3, 0)
                 assert m[r][c] == expect
 
 
@@ -140,7 +149,7 @@ def test_block_matrix_of_x_is_the_shift():
     m = heisenberg_phi_matrix(5, f, 2)
     for r in range(5):
         for c in range(5):
-            expect = CycInt.one(5) if (r - c) % 5 == 1 else CycInt.zero(5)
+            expect = CycInt.one(5) if (r - c) % 5 == 1 else CycInt.from_int(5, 0)
             assert m[r][c] == expect
 
 
@@ -150,7 +159,7 @@ def test_block_matrix_of_y_is_diagonal_of_powers():
     m = heisenberg_phi_matrix(p, f, j)
     for r in range(p):
         for c in range(p):
-            expect = CycInt.root(p, (j * c) % p) if r == c else CycInt.zero(p)
+            expect = _root(p, (j * c) % p) if r == c else CycInt.from_int(p, 0)
             assert m[r][c] == expect
 
 
@@ -188,8 +197,7 @@ def test_block_values_are_the_conjugates_of_one_block(p, data):
 
 
 def test_heisenberg_routes_check_p_and_length():
-    for fn in (heisenberg_measure, heisenberg_fourier_coeffs,
-               lambda p, c: heisenberg_phi_matrix(p, c, 1)):
+    for fn in (heisenberg_measure, lambda p, c: heisenberg_phi_matrix(p, c, 1)):
         with pytest.raises(InvalidParameter, match="needs an odd prime, got 2"):
             fn(2, [1] * 8)
         with pytest.raises(InvalidParameter, match="need 27 coefficients, got 26"):
@@ -217,7 +225,7 @@ def test_char_product_2d_places_ragged_grids_mod_p():
                 for _ in range(rng.randint(1, 5))]
         terms = [((b, k), c) for b, row in enumerate(grid) for k, c in enumerate(row)]
         assert char_product_2d(grid, 3) == \
-            group_determinant(GroupRingElt.from_terms(g, terms))
+            group_determinant(_elt(g, terms))
 
 
 # -- binomial shortcut -------------------------------------------------------
@@ -267,13 +275,39 @@ def test_binomial_rejects_bad_exponent():
 # -- averaged circulant coefficients ----------------------------------------
 
 
+def _fourier_coeffs(p, f):
+    """Coefficients c_0..c_(p-1) of the circulant determinant with symbol
+    F(x, y, 1), a polynomial in y of degree at most p(p - 1), reduced
+    modulo y^p - 1.  It is interpolated exactly from det_int at
+    y = 0, 1, ..., p(p - 1)."""
+    sums = [sum(f[r:r + p]) for r in range(0, p ** 3, p)]
+    g = [sums[i * p:(i + 1) * p] for i in range(p)]  # g[i][j]: the x^i y^j coefficient
+    nodes = range(p * (p - 1) + 1)
+    newton = []
+    for y in nodes:
+        gy = [sum(c * y ** j for j, c in enumerate(row)) for row in g]
+        newton.append(Fraction(det_int([[gy[(r - c) % p] for c in range(p)] for r in range(p)])))
+    for k in range(1, len(nodes)):  # divided differences on the nodes 0, 1, ...
+        for i in range(len(nodes) - 1, k - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / k
+    poly = [Fraction(0)]
+    for k in reversed(nodes):  # poly = poly * (y - k) + newton[k]
+        poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += newton[k]
+    assert all(c.denominator == 1 for c in poly)
+    out = [0] * p
+    for e, c in enumerate(poly):
+        out[e % p] += int(c)
+    return out
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_fourier_coefficients_carry_the_congruences(p):
     rng = random.Random(65 + p)
     for _ in range(15):
         f = random_heisenberg_poly(rng, p, 4)
         fac = heisenberg_measure(p, f)
-        cs = heisenberg_fourier_coeffs(p, f)
+        cs = _fourier_coeffs(p, f)
         c0 = cs[0]
         assert len(cs) == p
         # non-constant coefficients are all divisible by p
@@ -293,7 +327,7 @@ def test_fourier_sum_is_the_circulant_value():
     p = 3
     for _ in range(10):
         f = random_heisenberg_poly(rng, p, 4)
-        cs = heisenberg_fourier_coeffs(p, f)
+        cs = _fourier_coeffs(p, f)
         # F(x, 1, 1) coefficients
         h = [sum(f[i * p * p:(i + 1) * p * p]) for i in range(p)]
         assert sum(cs) == circulant_det(h, p)
@@ -306,7 +340,7 @@ def _two_part_elt(g, f, gg):
     half = g.order // 2
     terms = [((i, 0), c) for i, c in enumerate(f)]
     terms += [((i, 1), c) for i, c in enumerate(gg)]
-    return GroupRingElt.from_terms(g, terms)
+    return _elt(g, terms)
 
 
 @pytest.mark.parametrize("order", [6, 8, 10])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from groupdet import ParseError, bivariate_yz, parse_poly, poly_vars, univariate
+from groupdet import ParseError, bivariate_yz, parse_poly, univariate
 
 
 def test_basic_sum():
@@ -59,12 +59,6 @@ def test_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_poly("x^2 + w")
     assert "position 6" in str(exc.value)
-
-
-def test_poly_vars():
-    assert poly_vars(parse_poly("x^2 + y")) == {"x", "y"}
-    assert poly_vars(parse_poly("5")) == set()
-    assert poly_vars(parse_poly("z^-1")) == {"z"}
 
 
 def test_univariate_projection():

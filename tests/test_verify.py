@@ -23,7 +23,6 @@ from groupdet import (
     is_power_residue,
     p_valuation,
     random_heisenberg_poly,
-    s1_classification_check,
     smallest_non_fermat_base,
     zp2_divisibility_check,
     zp2_sharp_family,
@@ -51,10 +50,12 @@ def test_is_power_residue():
 
 
 def test_s1_classification():
-    assert s1_classification_check(26, 3)
-    assert s1_classification_check(28, 3)   # 28 = 27 + 1
-    assert not s1_classification_check(2, 3)
-    assert not s1_classification_check(9, 3)
+    # a value m coprime to p is attained over the order-p^3 Heisenberg
+    # group iff m^(p-1) = 1 mod p^3, the cube-residue test
+    assert is_power_residue(26, 3, 3)
+    assert is_power_residue(28, 3, 3)   # 28 = 27 + 1
+    assert not is_power_residue(2, 3, 3)
+    assert not is_power_residue(9, 3, 3)
 
 
 # -- main congruence ----------------------------------------------------------
