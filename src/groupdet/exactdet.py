@@ -2,8 +2,12 @@
 
 One Bareiss elimination serves matrices over Z[w] (Heisenberg blocks of
 ``CycInt`` entries) and over Z, where ``det_int`` uses it for small
-matrices and a certified multimodular elimination for large ones (Cayley
-matrices, circulants).
+Cayley matrices and a certified multimodular elimination for large ones.
+The multimodular certificate is shared: ``modular_primes`` picks primes
+q = 1 (mod n) below 2^26 past twice a Hadamard bound, and ``crt_values``
+recovers the values and checks each against one further prime, for
+``det_int`` and for the circulant routes of ``measures``, which evaluate
+at n-th roots of unity modulo those primes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the first twelve prime bases: deterministic below
     3.3e24 (Sorenson and Webster, Math. Comp. 86 (2017)), far past any
-    group the package can build or prime it eliminates modulo."""
+    group the package can build or prime it eliminates modulo.  Below
+    3,215,031,751, the least strong pseudoprime to them (Jaeschke, Math.
+    Comp. 61 (1993)), the bases 2, 3, 5 and 7 suffice, as for the primes
+    below 2^26 that the multimodular routes pick."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -33,7 +40,7 @@ def is_prime(n: int) -> bool:
             return n == b
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for b in _MR_BASES:
+    for b in _MR_BASES if n >= 3_215_031_751 else _MR_BASES[:4]:
         x = pow(b, d, n)
         if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(s)):
             return False
@@ -114,22 +121,15 @@ def det_bareiss(rows):
 def det_int(rows) -> int:
     """Exact determinant of a square matrix of Python ints: ``det_bareiss``
     below ``MULTIMODULAR_CUTOFF`` rows.  Above, the determinant is taken
-    modulo primes below 2^26, largest first, until their product exceeds
-    twice the Hadamard bound, and recovered by Chinese remaindering; one
-    further prime must agree, or GroupDetError is raised.
+    modulo the ``modular_primes`` of its Hadamard bound and recovered by
+    ``crt_values``, which checks it against one further prime.
     """
     n = len(rows)
     if n < MULTIMODULAR_CUTOFF:
         return det_bareiss(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    hadamard_sq = math.prod(sum(a * a for a in r) for r in rows)
-    primes, modulus = [], 1
-    for q in filter(is_prime, range(_PRIME_BOUND - 1, 2, -2)):
-        primes.append(q)  # the last one appended checks the others
-        if modulus * modulus > 4 * hadamard_sq:
-            break
-        modulus *= q
+    primes, modulus = modular_primes(math.prod(sum(a * a for a in r) for r in rows))
     try:
         a = np.array(rows, dtype=np.int64)
     except OverflowError:  # entries past int64 are reduced exactly, in Python
@@ -141,12 +141,38 @@ def det_int(rows) -> int:
         block = (a % np.array(batch, dtype=np.int64)[:, None, None] if a is not None else
                  np.array([[[x % q for x in r] for r in rows] for q in batch], dtype=np.int64))
         residues += _det_mod(block, batch)
-    value = sum(r * (c := modulus // q) * pow(c, -1, q)
-                for r, q in zip(residues, primes[:-1])) % modulus
-    value = value - modulus if 2 * value > modulus else value
-    if value % primes[-1] != residues[-1]:
+    return crt_values([[r] for r in residues], primes, modulus)[0]
+
+
+def modular_primes(bound_sq: int, n: int = 2) -> tuple:
+    """Primes q = 1 (mod n) below 2^26, largest first, enough to recover
+    any integer of absolute value at most sqrt(bound_sq): their product,
+    the modulus, exceeds twice that.  One further prime, the last in the
+    list, checks the result.  InvalidParameter if the primes run out."""
+    primes, modulus = [], 1
+    top = (_PRIME_BOUND - 2) // n * n + 1
+    for q in filter(is_prime, range(top, n, -n)):
+        primes.append(q)
+        if modulus * modulus > 4 * bound_sq:
+            return primes, modulus
+        modulus *= q
+    raise InvalidParameter(f"the primes 1 mod {n} below {_PRIME_BOUND} cannot "
+                           f"certify a value of {bound_sq.bit_length() // 2} bits")
+
+
+def crt_values(residues, primes, modulus) -> list:
+    """The integers in (-modulus/2, modulus/2] with residues[i][b] modulo
+    primes[i] for i below the last, one per column b, by the Chinese
+    remainder theorem.  Each must leave residues[-1][b] modulo primes[-1],
+    the check prime, or GroupDetError is raised."""
+    r = np.array(residues, dtype=object)
+    coef = np.array([(c := modulus // q) * pow(c, -1, q) for q in primes[:-1]],
+                    dtype=object).reshape(-1, 1)
+    value = (r[:-1] * coef).sum(axis=0) % modulus
+    value = np.where(2 * value > modulus, value - modulus, value)
+    if (value % primes[-1] != r[-1]).any():
         raise GroupDetError(f"multimodular determinant fails its check modulo {primes[-1]}")
-    return value
+    return value.tolist()
 
 
 def _det_mod(a, primes) -> list:

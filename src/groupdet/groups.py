@@ -57,8 +57,12 @@ class GroupKind:
     built or ``exact(params)`` gives its exact determinant as (route
     name, evaluator).  The evaluator takes a chunk of flat coefficient
     vectors in ``labels`` order and returns their values, in order:
-    ``compute`` passes one row, the searches fixed-size chunks.  Only the
-    p = 3 Heisenberg evaluator is vectorized (``measure_h3``).
+    ``compute`` passes one row, the searches fixed-size chunks.  The
+    cyclic, dihedral and dicyclic evaluators take the whole chunk at once
+    (``circulant_det``, ``dihedral_measure``, ``dicyclic_measure``, by
+    evaluation at roots of unity modulo primes), as does the p = 3
+    Heisenberg kernel ``measure_h3``; the character-product, Cayley and
+    p >= 5 Heisenberg routes evaluate row by row.
     """
 
     keys: tuple
@@ -254,7 +258,7 @@ def _per_row(name, f):
 
 def _circulant_route(params):
     n = params[0]
-    return _per_row("circulant", lambda c: circulant_det(c, n))
+    return "circulant", lambda rows: circulant_det(rows, n)
 
 
 def _character_route(moduli):
@@ -279,12 +283,12 @@ def _heisenberg_route(params):
 
 def _dihedral_route(params):
     n = params[0] // 2
-    return _per_row("two-part", lambda c: dihedral_measure(c[:n], c[n:], n))
+    return "two-part", lambda rows: dihedral_measure(rows, n)
 
 
 def _dicyclic_route(params):
     n = params[0] // 4
-    return _per_row("two-part", lambda c: dicyclic_measure(c[:2 * n], c[2 * n:], n))
+    return "two-part", lambda rows: dicyclic_measure(rows, n)
 
 
 KINDS = {

@@ -6,13 +6,13 @@ part M1 of the order-p^3 Heisenberg factorization M = M1 * M2^p and
 the Z_p x Z_p checks), the Heisenberg block factorization on the flat
 label-order coefficient vector that ``KINDS["heisenberg"].flat_coeffs``
 gives, its batched int64 kernel for p = 3 (``measure_h3``, a (B, 27)
-block of such vectors per call), the binomial two-product shortcut, and
-one twisted circulant (``circulant_det``, modulo x^n - 1 or x^n + 1) for
-the cyclic, dihedral and dicyclic routes, eliminated by
-``exactdet.det_int`` (Bareiss for small n, certified multimodular
-above).  The dihedral and dicyclic correlations f f~ come from
-``polyring.times_reciprocal``.  Every path returns exact integers and
-is cross-checked against the Cayley-matrix oracle in tests.
+block of such vectors per call), and the binomial two-product shortcut.
+The cyclic, dihedral and dicyclic routes (``circulant_det``,
+``dihedral_measure``, ``dicyclic_measure``) each take a (B, |G|) block
+too: one engine evaluates every row at the roots of unity modulo primes
+q = 1 (mod N) in int64 and recovers the products by the certified
+Chinese remainder of ``exactdet``.  Every path returns exact integers
+and is cross-checked against the Cayley-matrix oracle in tests.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from operator import getitem, itemgetter, mul
 import numpy as np
 
 from .cyclotomic import CycInt, eval_bivariate_at_roots
-from .errors import InvalidParameter, NotInteger
-from .exactdet import det_bareiss, det_int, is_prime
-from .polyring import times_reciprocal
+from .errors import GroupDetError, InvalidParameter, NotInteger
+from .exactdet import _PRIME_BOUND, crt_values, det_bareiss, is_prime, modular_primes
 
 
 def certified_int_product(values) -> int:
@@ -191,45 +190,139 @@ def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorizati
     return _factorization(p, m1, prod0 + prodk)
 
 
-# -- dihedral and dicyclic closed forms -----------------------------------
+# -- circulants by evaluation at roots of unity ------------------------------
+#
+# The cyclic, dihedral and dicyclic values are products over N-th roots of
+# unity: prod_k h(w^k) for a circulant, and for F = f + y g over a dihedral
+# or dicyclic group a product of f(w^k) f(w^-k) -+ g(w^k) g(w^-k).  Modulo
+# a prime q = 1 (mod N) an element w of exact order N stands in for the
+# complex root: a chunk of rows is reduced mod q, evaluated by one int64
+# product with the powers of w, and multiplied out.  ``crt_values`` then
+# recovers each value past twice the Hadamard bound (sum c^2)^(|G| / 2) of
+# its Cayley matrix, every row of which is a signed permutation of the
+# row's |G| coefficients c, and checks it against one further prime.
+
+# rows x parts x roots of one pass over a chunk: each int64 array of a pass
+# stays within 8 MB, so memory does not grow with the chunk
+_ROOT_CELLS = 1 << 20
 
 
-def circulant_det(h, n: int, sign: int = 1) -> int:
-    """Determinant of multiplication by h(x) modulo x^n - sign, by
-    elimination (``det_int``): the n x n circulant with first column h
-    for sign 1, the negacirculant for sign -1."""
-    h = list(h)
-    if len(h) != n:
-        raise InvalidParameter(f"need {n} coefficients, got {len(h)}")
-    # column c holds x^c h: entries that wrap past x^(n-1) pick up the sign
-    wrapped = [sign * v for v in h]
-    return det_int([h[r::-1] + wrapped[:r:-1] for r in range(n)])
+def _root_of_unity(q: int, order: int) -> int:
+    """An element of exact multiplicative order ``order`` modulo the prime
+    q = 1 (mod order): some w = g^((q - 1) / order) with w^order = 1 and
+    no power w^(order / r) equal to 1 for a prime r dividing the order."""
+    rs = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    for g in range(1, q):
+        w = pow(g, (q - 1) // order, q)
+        if pow(w, order, q) == 1 and all(pow(w, order // r, q) != 1 for r in rs):
+            return w
+    raise GroupDetError(f"no element of order {order} modulo {q}")
 
 
-def dihedral_measure(f, g, n: int) -> int:
-    """Group determinant over the dihedral group of order 2n for
-    F = f(x) + y g(x), computed as the circulant determinant of
-    f f~ - g g~ reduced mod x^n - 1 (f~ is coefficient reversal)."""
+def _powers(w: int, order: int, q: int):
+    """w^0, ..., w^(order - 1) modulo q, as int64, by doubling."""
+    pw = np.ones(order, dtype=np.int64)
+    m, step = 1, w
+    while m < order:
+        pw[m:2 * m] = pw[:min(m, order - m)] * step % q
+        m, step = 2 * m, step * step % q
+    return pw
+
+
+def _at_roots(block, parts: int, length: int, order: int, ks, factor) -> list:
+    """Exact values of a chunk of rows, as a list of ints.
+
+    Each row of ``block`` is ``parts`` polynomials of ``length``
+    coefficients.  Modulo each prime q, e[b, j, i] is polynomial j of row b
+    at w^ks[i] for w of the given order, and the value of row b is the
+    product over i of factor(e, q)[b, i].  Entries past int64 are reduced
+    exactly, in Python.  The matrix product sums ``length`` products of
+    residues below 2^26, so lengths from 2048 on, where that sum could
+    pass 2^63, raise InvalidParameter before any block is built.
+    """
+    if length * _PRIME_BOUND ** 2 >= 1 << 63:
+        raise InvalidParameter(f"{length} coefficients are too many for int64 evaluation")
+    width = parts * length
+    try:
+        a = np.asarray(block, dtype=np.int64)
+        rows = None
+    except (OverflowError, ValueError):
+        a, rows = None, [list(map(int, r)) for r in block]
+    if a is not None and (a.ndim != 2 or a.shape[1] != width):
+        raise InvalidParameter(f"need rows of {width} coefficients, got shape {a.shape}")
+    if rows is not None and any(len(r) != width for r in rows):
+        raise InvalidParameter(f"need rows of {width} coefficients")
+    count = len(a) if rows is None else len(rows)
+    step = max(1, _ROOT_CELLS // (parts * len(ks)))
+    if count > step:
+        chunk = a if rows is None else rows
+        return [v for i in range(0, count, step)
+                for v in _at_roots(chunk[i:i + step], parts, length, order, ks, factor)]
+    if count == 0:
+        return []
+    if rows is None and -(1 << 20) < a.min() and a.max() < 1 << 20:
+        norm = int(np.einsum("ij,ij->i", a, a).max())
+    else:
+        norm = max(sum(x * x for x in r) for r in (a.tolist() if rows is None else rows))
+    primes, modulus = modular_primes(norm ** width, order)
+    at = np.outer(np.arange(length), ks) % order
+    residues = []
+    for q in primes:
+        x = a % q if rows is None else np.array([[v % q for v in r] for r in rows], dtype=np.int64)
+        e = x.reshape(-1, length) @ _powers(_root_of_unity(q, order), order, q)[at] % q
+        v = factor(e.reshape(count, parts, -1), q) % q
+        while v.shape[1] > 1:  # multiply the columns out in halves
+            half = v.shape[1] // 2
+            v = np.concatenate([v[:, :half] * v[:, half:2 * half] % q, v[:, 2 * half:]], axis=1)
+        residues.append(v[:, 0])
+    return crt_values(residues, primes, modulus)
+
+
+def circulant_det(block, n: int, sign: int = 1) -> list:
+    """Determinant of multiplication by h(x) modulo x^n - sign for each row
+    h of a (B, n) block: the n x n circulant with first column h for
+    sign 1, the product of h over the n-th roots of unity, and the
+    negacirculant for sign -1, the product over the odd powers of a
+    2n-th root."""
+    if n < 1 or sign not in (1, -1):
+        raise InvalidParameter(f"need n >= 1 and sign 1 or -1, got {n} and {sign}")
+    ks = np.arange(n) if sign == 1 else np.arange(1, 2 * n, 2)
+    return _at_roots(block, 1, n, n if sign == 1 else 2 * n, ks, lambda e, q: e[:, 0])
+
+
+def _two_part(block, length: int, sign) -> list:
+    # the product over k of f(w^k) f(w^-k) - sign[k] g(w^k) g(w^-k), w of
+    # order ``length``, for rows [f, g] of two polynomials of that length
+    neg = -np.arange(length) % length
+
+    def factor(e, q):
+        f, g = e[:, 0], e[:, 1]
+        return f * f[:, neg] - sign * (g * g[:, neg] % q)
+
+    return _at_roots(block, 2, length, length, np.arange(length), factor)
+
+
+def dihedral_measure(block, n: int) -> list:
+    """Group determinant over the dihedral group of order 2n of
+    F = f(x) + y g(x) for each row [f, g] of a (B, 2n) block: the
+    circulant determinant of f f~ - g g~ modulo x^n - 1 (f~ is f(1/x)),
+    the product over the n-th roots of unity z of f(z) f(1/z) - g(z) g(1/z)."""
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    cf = times_reciprocal(map(int, f), n)
-    cg = times_reciprocal(map(int, g), n)
-    return circulant_det([a - b for a, b in zip(cf, cg)], n)
+    return _two_part(block, n, np.ones(n, dtype=np.int64))
 
 
-def dicyclic_measure(f, g, n: int) -> int:
-    """Group determinant over the dicyclic group of order 4n for
-    F = f(x) + y g(x) with f, g of length 2n.  The value splits as the
-    circulant determinant (mod x^n - 1) of f f~ - g g~ times the
-    negacirculant determinant (mod x^n + 1) of f f~ + g g~."""
+def dicyclic_measure(block, n: int) -> list:
+    """Group determinant over the dicyclic group of order 4n of
+    F = f(x) + y g(x) for each row [f, g] of a (B, 4n) block.  The value
+    is the circulant determinant (mod x^n - 1) of f f~ - g g~ times the
+    negacirculant determinant (mod x^n + 1) of f f~ + g g~, the product
+    over the 2n-th roots of unity z of f(z) f(1/z) -+ g(z) g(1/z): minus
+    at the even powers of a primitive root, which are the n-th roots,
+    plus at the odd ones."""
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    # correlations modulo x^2n - 1 = (x^n - 1)(x^n + 1), then split
-    cf = times_reciprocal(map(int, f), 2 * n)
-    cg = times_reciprocal(map(int, g), 2 * n)
-    minus = [a - b + c - d for a, b, c, d in zip(cf, cg, cf[n:], cg[n:])]
-    plus = [a + b - c - d for a, b, c, d in zip(cf, cg, cf[n:], cg[n:])]
-    return circulant_det(minus, n) * circulant_det(plus, n, -1)
+    return _two_part(block, 2 * n, 1 - 2 * (np.arange(2 * n) % 2))
 
 
 # -- batched kernel for p = 3 -----------------------------------------------

@@ -2,9 +2,9 @@
 
 ``mul_fold_cyclic`` multiplies modulo y^n - 1.  With n at least the
 length of the plain product it never wraps, so it is the plain product
-too.  ``times_reciprocal`` forms f f~ with it, for the dihedral and
-dicyclic circulants and the infinite dihedral measures, and the
-verifiers take their power sums and folded powers from it.
+too.  ``times_reciprocal`` forms f f~ with it for the infinite dihedral
+measures, and the verifiers take their power sums and folded powers
+from it.
 """
 
 from __future__ import annotations

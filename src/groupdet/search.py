@@ -3,15 +3,17 @@
 Enumerate (exhaustively or by seeded sampling) the determinant values a
 group attains at a given coefficient height, track the minimum
 nontrivial absolute value and a witness, and estimate the growth
-constant log(min)/|G|.  Rows reach the route evaluator (for p = 3
-Heisenberg, one batched int64 kernel) CHUNK_ROWS at a time, so memory
-does not grow with the trials.  The witness depends on the order of
+constant log(min)/|G|.  Rows reach the route evaluator CHUNK_ROWS at a
+time, so memory does not grow with the trials; the p = 3 Heisenberg,
+cyclic, dihedral and dicyclic evaluators take each chunk in int64
+kernels.  The witness depends on the order of
 work.  Exhaustive work is split into shards by the first coefficient, in
 increasing order; each shard walks the rest in lexicographic order and
 keeps the first vector of smallest |m| >= 2, and the merge keeps the
 least (|m|, m, vector), so a tie in |m| goes to the negative value.  A
 random search keeps the first such trial.  Order-8 dihedral searches
-pair value classes, with the witness the shards and merge would keep.
+pair value classes, with the witness the shards and merge would keep,
+and count those pairs against the budget.
 """
 
 from __future__ import annotations
@@ -176,13 +178,13 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
     total = _Collector(cfg)
     if cfg.mode == "exhaustive":
         budget = cfg.budget if cfg.budget is not None else evaluation_budget()
+        if cfg.kind == "dihedral" and cfg.params[0] == 8:
+            return _enumerate_dihedral8(cfg, budget)
         count = (2 * h + 1) ** order
         if count > budget:
             raise BudgetExceeded(
                 f"(2*{h}+1)^{order} = {count} matrix evaluations exceed the "
                 f"budget {budget}; raise GDET_BUDGET or shrink the search")
-        if cfg.kind == "dihedral" and cfg.params[0] == 8:
-            return _enumerate_dihedral8(cfg)
         for c0 in range(-h, h + 1):
             total.merge(run_shard(cfg, c0))
     elif cfg.mode == "random":
@@ -209,39 +211,73 @@ def _result_from_collector(cfg: SearchConfig, col: _Collector, route: str) -> Se
 # so it depends on each half only through its class.  The f classes are
 # also split by the leading coefficient, the shard of the generic search,
 # so that a pair's first members are its first vector in that shard:
-# 957 x 203 class pairs at height 3 rather than 2401^2 vector pairs.
+# 957 x 203 class pairs at height 3 rather than 2401^2 vector pairs.  The
+# budget counts these pairs, and the pair matrix is evaluated a block of
+# f classes at a time.
+
+# pairs per block of the pair matrix: 8 MB an int64 array
+_PAIR_BLOCK = 1 << 20
 
 
-def _enumerate_dihedral8(cfg: SearchConfig) -> SearchResult:
+def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
     # int64 is ample here: |value| <= 16384 * H^8, so heights up to ~35
-    # stay exact; the evaluation budget bites long before that.
-    if cfg.height > 35:
+    # stay exact; the budget bites long before that.
+    h = cfg.height
+    if h > 35:
         raise BudgetExceeded("order-8 class-pair kernel is int64-exact only up to height 35")
+    side = 2 * h + 1
+    span = np.arange(-h, h + 1, dtype=np.int64)
+    c1, c2, c3 = np.stack(np.meshgrid(span, span, span, indexing="ij")).reshape(3, -1)
+    # classes of the halves with leading coefficient c0, one shard at a
+    # time, with the budget checked as they grow, since the pair count only
+    # grows; first indices count vectors in lexicographic order over all four
+    f_keys, f_first = [], []
+    g_keys, g_first = np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64)
+    for shard, c0 in enumerate(span.tolist()):
+        keys = np.stack([(c0 + c1 + c2 + c3) ** 2, (c0 - c1 + c2 - c3) ** 2,
+                         (c0 - c2) ** 2 + (c1 - c3) ** 2], axis=1)
+        k, first = np.unique(keys, axis=0, return_index=True)
+        f_keys.append(k)
+        f_first.append(first + shard * side ** 3)
+        g_keys, at = np.unique(np.concatenate([g_keys, k]), axis=0, return_index=True)
+        g_first = np.concatenate([g_first, f_first[-1]])[at]
+        pairs = sum(map(len, f_keys)) * len(g_keys)
+        if pairs > budget:
+            raise BudgetExceeded(
+                f"order-8 dihedral search at height {h} needs at least {pairs} class "
+                f"pairs, over the budget {budget}; raise GDET_BUDGET or shrink the search")
+    f_shard = np.repeat(np.arange(side), list(map(len, f_keys)))
+    f_keys, f_first = np.concatenate(f_keys), np.concatenate(f_first)
     col = _Collector(cfg)
-    span = np.arange(-cfg.height, cfg.height + 1, dtype=np.int64)
-    vecs = np.stack(np.meshgrid(span, span, span, span, indexing="ij"), axis=-1).reshape(-1, 4)
-    c0, c1, c2, c3 = vecs.T
-    keys = np.stack([c0, (c0 + c1 + c2 + c3) ** 2, (c0 - c1 + c2 - c3) ** 2,
-                     (c0 - c2) ** 2 + (c1 - c3) ** 2], axis=1)
-    f_classes, f_first = np.unique(keys, axis=0, return_index=True)
-    g_classes, g_first = np.unique(keys[:, 1:], axis=0, return_index=True)
-    s1, s2, q = (f[:, None] - g for f, g in zip(f_classes[:, 1:].T, g_classes.T))
-    values = s1 * s2 * q * q  # values[a, b]: f in class a, g in class b
-    col.evaluations = len(vecs) ** 2
-    kept = np.broadcast_to(col._keep(values), values.shape)
-    uniq = np.unique(values[kept])
+    col.evaluations = side ** 8
+    uniq = []
+    low, hits = None, []  # hits: (f first, g first, value, shard) at |value| = low
+    step = max(1, _PAIR_BLOCK // len(g_keys))
+    for lo in range(0, len(f_keys), step):
+        s1, s2, q = (f[:, None] - g for f, g in zip(f_keys[lo:lo + step].T, g_keys.T))
+        values = s1 * s2 * q * q  # values[a, b]: f in class lo + a, g in class b
+        kept = np.broadcast_to(col._keep(values), values.shape)
+        uniq.append(np.unique(values[kept]))
+        absval = np.abs(values)
+        kept = kept & (absval >= 2)
+        if kept.any():
+            m = absval[kept].min()
+            if low is None or m < low:
+                low, hits = m, []
+            if m == low:
+                a, b = np.nonzero(kept & (absval == low))
+                hits += zip(f_first[lo + a].tolist(), g_first[b].tolist(),
+                            values[a, b].tolist(), f_shard[lo + a].tolist())
+    uniq = np.unique(np.concatenate(uniq))
     col.values = set(uniq[:cfg.max_values].tolist())
     col.truncated = max(0, len(uniq) - cfg.max_values)
-    absval = np.abs(values)
-    kept = kept & (absval >= 2)
-    if kept.any():
-        a, b = np.nonzero(kept & (absval == absval[kept].min()))
-        firsts = {}  # shard -> (m, f index, g index) of its first vector of smallest |m|
-        for i, j, m, shard in sorted(zip(f_first[a].tolist(), g_first[b].tolist(),
-                                         values[a, b].tolist(), f_classes[a, 0].tolist())):
+    if hits:
+        firsts = {}  # shard -> (m, f first, g first) of its first vector of smallest |m|
+        for i, j, m, shard in sorted(hits):
             firsts.setdefault(shard, (m, i, j))
         m, i, j = min(firsts.values())  # as the merge of the shards keeps
-        col.best = (abs(m), m, tuple(vecs[i].tolist() + vecs[j].tolist()))
+        vector = np.concatenate([np.unravel_index(i, (side,) * 4), np.unravel_index(j, (side,) * 4)])
+        col.best = (abs(m), m, tuple((vector - h).tolist()))
     return _result_from_collector(cfg, col, "class-pairs")
 
 

@@ -333,7 +333,7 @@ def check_power_sum_congruence(f_coeffs, p: int) -> bool:
     for i, c in enumerate(f_coeffs):
         folded[i % p] += int(c)
     mean = pow_fold_cyclic(folded, p, p)[0]
-    prod = circulant_det(folded, p)
+    prod = circulant_det([folded], p)[0]
     return (mean - prod) % (p * p) == 0
 
 

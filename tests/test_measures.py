@@ -11,11 +11,13 @@ import random
 from fractions import Fraction
 
 import cmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdet import (
     CycInt,
+    GroupDetError,
     GroupRingElt,
     InvalidParameter,
     NotInteger,
@@ -114,15 +116,14 @@ def test_abelian_measure_rejects_a_short_coefficient_vector():
 def test_circulant_matches_oracle_composite_order():
     rng = random.Random(61)
     g = build_group("cyclic", 6)
-    for _ in range(20):
-        h = [rng.randint(-4, 4) for _ in range(6)]
-        f = _elt(g, [((i,), c) for i, c in enumerate(h)])
-        assert circulant_det(h, 6) == group_determinant(f)
-    # the rows are slices of h, so a vector of another length is refused
-    from groupdet import InvalidParameter
-    for bad in ([1, 2, 3], [1]):
-        with pytest.raises(InvalidParameter, match=f"need 2 coefficients, got {len(bad)}"):
-            circulant_det(bad, 2)
+    rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(20)]
+    assert circulant_det(rows, 6) == [group_determinant(GroupRingElt(g, h)) for h in rows]
+    # a row of another length is refused, not padded or folded
+    for bad in ([1, 2, 3], [1], [2 ** 70, 1, 0]):
+        with pytest.raises(InvalidParameter, match="need rows of 2 coefficients"):
+            circulant_det([bad], 2)
+    with pytest.raises(InvalidParameter, match="need rows of 2 coefficients"):
+        circulant_det([1, 2], 2)  # one row, not a chunk
 
 
 def test_certified_product_refuses_non_integers():
@@ -330,7 +331,7 @@ def test_fourier_sum_is_the_circulant_value():
         cs = _fourier_coeffs(p, f)
         # F(x, 1, 1) coefficients
         h = [sum(f[i * p * p:(i + 1) * p * p]) for i in range(p)]
-        assert sum(cs) == circulant_det(h, p)
+        assert sum(cs) == circulant_det([h], p)[0]
 
 
 # -- dihedral / dicyclic -----------------------------------------------------
@@ -348,11 +349,9 @@ def test_dihedral_matches_oracle(order):
     rng = random.Random(67 + order)
     n = order // 2
     g = build_group("dihedral", order)
-    for _ in range(15):
-        f = [rng.randint(-4, 4) for _ in range(n)]
-        gg = [rng.randint(-4, 4) for _ in range(n)]
-        assert dihedral_measure(f, gg, n) == \
-            group_determinant(_two_part_elt(g, f, gg))
+    rows = [[rng.randint(-4, 4) for _ in range(2 * n)] for _ in range(15)]
+    assert dihedral_measure(rows, n) == \
+        [group_determinant(_two_part_elt(g, r[:n], r[n:])) for r in rows]
 
 
 @pytest.mark.parametrize("order", [4, 8, 12])
@@ -360,18 +359,16 @@ def test_dicyclic_matches_oracle(order):
     rng = random.Random(68 + order)
     n = order // 4
     g = build_group("dicyclic", order)
-    for _ in range(15):
-        f = [rng.randint(-4, 4) for _ in range(2 * n)]
-        gg = [rng.randint(-4, 4) for _ in range(2 * n)]
-        assert dicyclic_measure(f, gg, n) == \
-            group_determinant(_two_part_elt(g, f, gg))
+    rows = [[rng.randint(-4, 4) for _ in range(4 * n)] for _ in range(15)]
+    assert dicyclic_measure(rows, n) == \
+        [group_determinant(_two_part_elt(g, r[:2 * n], r[2 * n:])) for r in rows]
 
 
 @pytest.mark.parametrize("kind,order", [("dihedral", 64), ("dihedral", 128),
                                         ("dicyclic", 128), ("dicyclic", 256)])
 def test_twisted_circulants_above_the_cutoff_match_oracle(kind, order):
-    # circulants (and for dicyclic, negacirculants) of n >= 32 rows: both
-    # the route and the Cayley oracle take the multimodular elimination
+    # circulants (and for dicyclic, negacirculants) of n >= 32 rows, whose
+    # Cayley matrices take the multimodular elimination
     n = order // (2 if kind == "dihedral" else 4)
     assert n >= MULTIMODULAR_CUTOFF
     rng = random.Random(71 + order)
@@ -385,10 +382,9 @@ def test_twisted_circulants_above_the_cutoff_match_oracle(kind, order):
 def test_negacirculant_against_numeric_roots():
     # det = prod of h(z) over the primitive 2n-th "odd" roots z of x^n = -1
     rng = random.Random(69)
-    for n in (2, 3, 4, 5):
-        for _ in range(10):
-            h = [rng.randint(-4, 4) for _ in range(n)]
-            got = circulant_det(h, n, -1)
+    for n in (1, 2, 3, 4, 5, 8, 9):
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(10)]
+        for h, got in zip(rows, circulant_det(rows, n, -1)):
             prod = 1 + 0j
             for k in range(n):
                 z = cmath.exp(1j * math.pi * (2 * k + 1) / n)
@@ -397,13 +393,139 @@ def test_negacirculant_against_numeric_roots():
             assert abs(prod.imag) < 1e-6 * max(1.0, abs(prod.real))
 
 
-def test_two_part_inputs_fold():
-    # coefficients beyond the rotation order wrap around
-    assert dihedral_measure([1, 2, 0, 3], [0, 0], 2) == \
-        dihedral_measure([1, 5], [0, 0], 2)
-    a = dihedral_measure([1, 2, 3, 4], [1, 0, 0, 0], 4)
-    b = dihedral_measure([1, 2, 3, 4, 0, 0, 0, 0], [1, 0, 0, 0], 4)
-    assert a == b
+def test_two_part_rows_need_the_group_width():
+    # a row is [f, g] at the group's width: longer rows are refused, not folded
+    assert dihedral_measure([[1, 5, 0, 0]], 2) == [(6 * -4) ** 2]  # (f(1) f(-1))^2
+    for bad in ([1, 2, 0, 3, 0, 0], [1, 5, 0]):
+        with pytest.raises(InvalidParameter, match="need rows of 4 coefficients"):
+            dihedral_measure([bad], 2)
+        with pytest.raises(InvalidParameter, match="need rows of 4 coefficients"):
+            dicyclic_measure([bad], 1)
+    for call in (lambda: dihedral_measure([[]], 0), lambda: dicyclic_measure([[]], 0),
+                 lambda: circulant_det([[1]], 1, 2)):
+        with pytest.raises(InvalidParameter, match="need n >= 1"):
+            call()
+
+
+# -- evaluation at roots of unity modulo primes ------------------------------
+
+
+def _singular_rows(kind, order):
+    # the zero row, and a row whose value vanishes: 1 + x + ... + x^(n-1)
+    # at every nontrivial root (n >= 2), or f = g, which zeroes the factors
+    # f(z) f(1/z) - g(z) g(1/z)
+    rows = [[0] * order]
+    if kind != "cyclic":
+        half = [1, 2] + [0] * (order // 2 - 2) if order >= 4 else [3]
+        rows.append(half + half)
+    elif order >= 2:
+        rows.append([1] * order)
+    return rows
+
+
+@pytest.mark.parametrize("kind,orders", [
+    ("cyclic", list(range(1, 41))),
+    ("dihedral", list(range(2, 34, 2)) + [48, 64, 96, 128]),
+    ("dicyclic", list(range(4, 68, 4)) + [96, 128, 160]),
+])
+def test_roots_of_unity_routes_match_oracle(kind, orders):
+    rng = random.Random(f"roots:{kind}")
+    for order in orders:
+        g = build_group(kind, order)
+        _, exact = kind_of(kind).route((order,))
+        row = [rng.randint(-2, 2) for _ in range(order)]
+        singular = _singular_rows(kind, order)
+        assert exact([row] + singular) == \
+            [group_determinant(GroupRingElt(g, row))] + [0] * len(singular)
+        if order <= 32:
+            assert all(group_determinant(GroupRingElt(g, r)) == 0 for r in singular)
+
+
+def test_value_divisible_by_the_first_prime():
+    # cyclic n = 1: the value is the coefficient; n = 2: (a - b)(a + b)
+    from groupdet.exactdet import modular_primes
+    q1 = modular_primes(0, 1)[0][0]
+    assert circulant_det([[3 * q1], [-q1], [q1 * q1]], 1) == [3 * q1, -q1, q1 * q1]
+    q2 = modular_primes(0, 2)[0][0]
+    a, b = (q2 + 1) // 2, (1 - q2) // 2
+    assert circulant_det([[a, b], [b, a]], 2) == [q2, -q2]
+
+
+def test_chunk_mixes_small_rows_and_coefficients_past_int64():
+    rows = [[1, 2, 3], [2 ** 70, 1, 0], [0, 0, 0], [-2 ** 70, 5, -7], [2, -1, 1]]
+    g = build_group("cyclic", 3)
+    got = circulant_det(rows, 3)
+    assert got == [group_determinant(GroupRingElt(g, r)) for r in rows]
+    assert got[1] == 2 ** 210 + 1  # prod of (a + z) over the cube roots z: a^3 + 1
+    two = [[2 ** 70, 0, 1, 1], [1, 2, 0, 1]]
+    assert dihedral_measure(two, 2) == \
+        [group_determinant(GroupRingElt(build_group("dihedral", 4), r)) for r in two]
+    assert dicyclic_measure(two, 1) == \
+        [group_determinant(GroupRingElt(build_group("dicyclic", 4), r)) for r in two]
+
+
+def test_rows_split_into_passes_keep_their_values(monkeypatch):
+    import groupdet.measures
+    rng = random.Random(74)
+    rows = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(9)]
+    expect = (circulant_det(rows, 12), dihedral_measure(rows, 6), dicyclic_measure(rows, 3))
+    monkeypatch.setattr(groupdet.measures, "_ROOT_CELLS", 30)  # two or three rows a pass
+    assert (circulant_det(rows, 12), dihedral_measure(rows, 6), dicyclic_measure(rows, 3)) \
+        == expect
+
+
+def test_roots_check_prime_catches_a_wrong_residue(monkeypatch):
+    import groupdet.measures
+    original = groupdet.measures.crt_values
+
+    def sabotaged(residues, primes, modulus):
+        residues = list(residues)
+        residues[-1] = (residues[-1] + 1) % primes[-1]
+        return original(residues, primes, modulus)
+
+    monkeypatch.setattr(groupdet.measures, "crt_values", sabotaged)
+    for call in (lambda: circulant_det([[1, 2, 3]], 3), lambda: dihedral_measure([[1, 2]], 1),
+                 lambda: dicyclic_measure([[1, 2, 3, 4]], 1)):
+        with pytest.raises(GroupDetError, match="fails its check"):
+            call()
+
+
+def test_roots_refuse_lengths_that_overflow_int64():
+    # 2048 products of residues below 2^26 could pass 2^63; zero-stride
+    # views, so nothing is allocated before the refusal
+    zero = np.zeros(1, dtype=np.int64)
+    with pytest.raises(InvalidParameter, match="int64"):
+        circulant_det(np.broadcast_to(zero, (1, 2048)), 2048)
+    with pytest.raises(InvalidParameter, match="int64"):
+        dicyclic_measure(np.broadcast_to(zero, (1, 4096)), 1024)
+
+
+def test_roots_refuse_when_the_primes_run_out(monkeypatch):
+    from groupdet import exactdet
+    monkeypatch.setattr(exactdet, "_PRIME_BOUND", 200)  # ten primes 1 mod 5
+    assert circulant_det([[2, 1, 0, 0, 0]], 5) == [33]
+    with pytest.raises(InvalidParameter, match="cannot certify"):
+        circulant_det([[10 ** 6, 1, 2, 3, 4]], 5)
+
+
+def test_root_of_unity_order_check_raises():
+    from groupdet.measures import _root_of_unity
+    assert _root_of_unity(13, 12) in (2, 6, 7, 11)  # the primitive roots mod 13
+    with pytest.raises(GroupDetError, match="no element of order 4 modulo 7"):
+        _root_of_unity(7, 4)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_batched_values_equal_one_row_values(data):
+    kind, order = data.draw(st.sampled_from([
+        ("cyclic", 1), ("cyclic", 5), ("cyclic", 12), ("dihedral", 2), ("dihedral", 10),
+        ("dicyclic", 4), ("dicyclic", 12)]), label="group")
+    _, exact = kind_of(kind).route((order,))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    rows = data.draw(st.lists(st.lists(coeff, min_size=order, max_size=order),
+                              min_size=1, max_size=6), label="rows")
+    assert exact(rows) == [exact([r])[0] for r in rows]
 
 
 # -- the batched p = 3 kernel ------------------------------------------------

@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -60,8 +61,7 @@ def test_witness_reproduces_minimum():
     for exps, c in res.witness:
         i, j = exps
         coeffs[3 * j + i] = c
-    f, g = coeffs[:3], coeffs[3:]
-    assert dihedral_measure(f, g, 3) == res.min_nontrivial
+    assert dihedral_measure([coeffs], 3) == [res.min_nontrivial]
 
 
 def test_exhaustive_budget():
@@ -171,6 +171,31 @@ def test_d8_kernel_height_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=40,
                                       budget=10 ** 18))
+
+
+def _d8_class_pairs(height):
+    # f classes are (c0, f(1)^2, f(-1)^2, |f(i)|^2), g classes the last three
+    span = range(-height, height + 1)
+    f = {(c0, (c0 + c1 + c2 + c3) ** 2, (c0 - c1 + c2 - c3) ** 2, (c0 - c2) ** 2 + (c1 - c3) ** 2)
+         for c0, c1, c2, c3 in product(span, repeat=4)}
+    return len(f) * len({k[1:] for k in f})
+
+
+def test_d8_budget_counts_class_pairs(monkeypatch):
+    # a budget below the 5^8 vectors of height 2 but at the class-pair
+    # count runs, in blocks of a few f classes, and finds what the full
+    # search finds; one pair less is refused
+    import groupdet.search
+    pairs = _d8_class_pairs(2)
+    assert pairs < 5 ** 8
+    monkeypatch.setattr(groupdet.search, "_PAIR_BLOCK", 1000)
+    res = enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=2, budget=pairs))
+    evaluations, low, vec, values = _d8_reference(2, "all")
+    assert (res.evaluations, res.min_nontrivial) == (evaluations, low)
+    assert res.witness == KINDS["dihedral"].terms((8,), vec)
+    assert res.attained_values == values
+    with pytest.raises(BudgetExceeded, match="class pairs"):
+        enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=2, budget=pairs - 1))
 
 
 @functools.lru_cache(maxsize=None)

@@ -215,7 +215,7 @@ def test_negated_family_inputs_negate_values():
 def test_power_sum_congruence_simple_case():
     # f = 1 + y at p = 3: constant of f^3 mod y^3-1 is 2, circulant
     # determinant of (1,1,0) is 2, and 2 = 2 mod 9
-    assert circulant_det([1, 1, 0], 3) == 2
+    assert circulant_det([[1, 1, 0]], 3) == [2]
     assert check_power_sum_congruence([1, 1], 3)
 
 
