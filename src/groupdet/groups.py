@@ -57,12 +57,12 @@ class GroupKind:
     built or ``exact(params)`` gives its exact determinant as (route
     name, evaluator).  The evaluator takes a chunk of flat coefficient
     vectors in ``labels`` order and returns their values, in order:
-    ``compute`` passes one row, the searches fixed-size chunks.  The
+    ``compute`` passes one row, the searches (B, |G|) arrays.  The
     cyclic, dihedral and dicyclic evaluators take the whole chunk at once
     (``circulant_det``, ``dihedral_measure``, ``dicyclic_measure``, by
     evaluation at roots of unity modulo primes), as does the p = 3
     Heisenberg kernel ``measure_h3``; the character-product, Cayley and
-    p >= 5 Heisenberg routes evaluate row by row.
+    p >= 5 Heisenberg routes evaluate row by row, in Python ints.
     """
 
     keys: tuple
@@ -252,8 +252,9 @@ def _dicyclic_mul(ps, a, b):
 
 
 def _per_row(name, f):
-    # a route without a vectorized body: its evaluator maps f over the chunk
-    return name, lambda rows: [f(c) for c in rows]
+    # a route without a vectorized body: its evaluator maps f over the
+    # chunk, each row as Python ints, since an int64 entry would overflow
+    return name, lambda rows: [f(c) for c in np.asarray(rows, dtype=object).tolist()]
 
 
 def _circulant_route(params):

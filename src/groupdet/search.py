@@ -3,17 +3,22 @@
 Enumerate (exhaustively or by seeded sampling) the determinant values a
 group attains at a given coefficient height, track the minimum
 nontrivial absolute value and a witness, and estimate the growth
-constant log(min)/|G|.  Rows reach the route evaluator CHUNK_ROWS at a
-time, so memory does not grow with the trials; the p = 3 Heisenberg,
-cyclic, dihedral and dicyclic evaluators take each chunk in int64
-kernels.  The witness depends on the order of
-work.  Exhaustive work is split into shards by the first coefficient, in
-increasing order; each shard walks the rest in lexicographic order and
-keeps the first vector of smallest |m| >= 2, and the merge keeps the
-least (|m|, m, vector), so a tie in |m| goes to the negative value.  A
-random search keeps the first such trial.  Order-8 dihedral searches
-pair value classes, with the witness the shards and merge would keep,
-and count those pairs against the budget.
+constant log(min)/|G|.  Rows reach the route evaluator as (B, |G|)
+blocks of at most CHUNK_ROWS rows, int64 unless the height is past it,
+so memory does not grow with the trials; the p = 3 Heisenberg, cyclic,
+dihedral and dicyclic evaluators take each block in int64 kernels.  One
+collector takes each block's values: the first max_values distinct
+values met, a count of each later meeting with a value it left out, and
+the witness.  Random trials are drawn a block at a time, bit for bit
+the per-trial Random(f"{seed}:{t}") stream (see "random trials" below).
+The witness depends on the order of work.  Exhaustive work is split into
+shards by the first coefficient, in increasing order; each shard walks
+the rest in lexicographic order and keeps the first vector of smallest
+|m| >= 2, and the merge keeps the least (|m|, m, vector), so a tie in
+|m| goes to the negative value.  A random search keeps the first such
+trial.  Order-8 dihedral searches pair value classes, with the witness
+the shards and merge would keep, and count those pairs against the
+budget.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import islice, product as iter_product
 from typing import Optional
 
 import numpy as np
@@ -34,6 +38,7 @@ from .verify import achieve_construction, is_power_residue
 DEFAULT_BUDGET = 100_000_000
 CHUNK_ROWS = 4096
 MAX_DISTINCT_VALUES = 1_000_000
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def evaluation_budget() -> int:
@@ -107,7 +112,8 @@ class SearchResult:
 
 
 class _Collector:
-    """Merge-friendly accumulator for one shard of a search."""
+    """Merge-friendly accumulator for one shard of a search, fed a block
+    of rows and their values at a time."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -117,14 +123,15 @@ class _Collector:
         self.evaluations = 0
         self.best = None  # (abs value, value, coeff tuple)
 
-    def _keep(self, m: int) -> bool:
+    def _kept(self, values):
+        """Mask of the values the filter keeps."""
         vf = self.cfg.value_filter
         if vf == "all":
-            return True
+            return np.broadcast_to(True, np.shape(values))
         if vf == "coprime":
-            return m % self.p != 0
+            return values % self.p != 0
         if vf == "multiples":
-            return m % self.p == 0
+            return values % self.p == 0
         raise InvalidParameter(f"unknown value filter {vf!r}")
 
     def _note(self, m: int) -> None:
@@ -134,13 +141,30 @@ class _Collector:
             else:
                 self.truncated += 1
 
-    def add(self, m: int, coeffs) -> None:
-        self.evaluations += 1
-        if not self._keep(m):
-            return
-        self._note(m)
-        if abs(m) >= 2 and (self.best is None or abs(m) < self.best[0]):
-            self.best = (abs(m), m, tuple(coeffs))
+    def add_block(self, rows, values) -> None:
+        """Take the values of a block of rows as if one row at a time: the
+        kept values join the set in the order met until it holds
+        max_values, each later kept value outside it counts as truncated,
+        and the first row of least |m| >= 2 replaces the witness if
+        strictly smaller."""
+        self.evaluations += len(values)
+        values = _int_array(values)
+        at = np.flatnonzero(self._kept(values))
+        values = values[at]
+        distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        new = np.flatnonzero([v not in self.values for v in distinct.tolist()])
+        new = new[np.argsort(first[new])]
+        room = max(0, self.cfg.max_values - len(self.values))
+        self.values.update(distinct[new[:room]].tolist())
+        left_out = np.zeros(len(distinct), dtype=bool)
+        left_out[new[room:]] = True
+        self.truncated += int(np.count_nonzero(left_out[inverse]))
+        size = np.abs(values)
+        big = np.flatnonzero(size >= 2)
+        if len(big):
+            i = big[np.argmin(size[big])]
+            if self.best is None or size[i] < self.best[0]:
+                self.best = (int(size[i]), int(values[i]), tuple(rows[at[i]].tolist()))
 
     def merge(self, other: "_Collector") -> None:
         self.evaluations += other.evaluations
@@ -151,21 +175,116 @@ class _Collector:
             self.best = other.best
 
 
-def _evaluate(cfg: SearchConfig, rows, col: _Collector) -> _Collector:
-    """Evaluate the rows in chunks and add each value in row order."""
+def _int_array(values):
+    # int64 where every value and its absolute value fit, else Python ints
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    return a if not a.size or a.min() > _INT64_MIN else np.array(values, dtype=object)
+
+
+def _collect(cfg: SearchConfig, blocks, col: _Collector) -> _Collector:
+    """Evaluate each block of rows and add its values to the collector."""
     _, ev = kind_of(cfg.kind).route(cfg.params)
-    rows = iter(rows)
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        for coeffs, m in zip(chunk, ev(chunk)):
-            col.add(m, coeffs)
+    for block in blocks:
+        col.add_block(block, ev(block))
     return col
+
+
+def _shard_blocks(h: int, order: int, first_coeff: int):
+    """The rows of the shard with leading coefficient first_coeff, in
+    lexicographic order, CHUNK_ROWS at a time: row r holds the base
+    2h + 1 digits of r, less h, after the leading coefficient."""
+    side = 2 * h + 1
+    size = side ** (order - 1)
+    for lo in range(0, size, CHUNK_ROWS):
+        index = np.arange(lo, min(lo + CHUNK_ROWS, size), dtype=np.int64)
+        block = np.empty((len(index), order), dtype=np.int64)
+        block[:, 0] = first_coeff
+        for j in range(order - 1, 0, -1):
+            index, block[:, j] = np.divmod(index, side)
+        block[:, 1:] -= h
+        yield block
 
 
 def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:
     """Exhaustively evaluate the shard with the leading coefficient fixed."""
-    span = range(-cfg.height, cfg.height + 1)
-    rest = iter_product(span, repeat=kind_of(cfg.kind).order(cfg.params) - 1)
-    return _evaluate(cfg, ((first_coeff,) + r for r in rest), _Collector(cfg))
+    order = kind_of(cfg.kind).order(cfg.params)
+    return _collect(cfg, _shard_blocks(cfg.height, order, first_coeff), _Collector(cfg))
+
+
+# -- random trials -----------------------------------------------------------
+#
+# Trial t is the row tuple(r.randint(-h, h) for _ in range(|G|)) of
+# r = Random(f"{seed}:{t}").  CPython draws randint(-h, h) as -h + d with d
+# the top k = (2h + 1).bit_length() bits of the next 32-bit Mersenne
+# Twister output, drawn again while d >= 2h + 1 (``_randbelow`` by
+# ``getrandbits(k)``, k <= 32, the same on Python 3.10 to 3.13).  One
+# ``getrandbits(32 w)`` returns the next w outputs, the first in the lowest
+# bits, so a block of trials is one reseed and one such call each, and the
+# shift, the rejection and the choice of each row's first |G| accepted
+# draws run over the whole block in numpy.  A row with fewer accepted
+# draws than |G|, and every row of a height with k > 32, takes its own
+# randint calls: the same stream, drawn one value at a time.
+
+# Mersenne Twister outputs per block of trials: 1 MB as uint32
+_DRAW_WORDS = 1 << 18
+_DRAW_SIGMAS = 4
+
+
+def _randint_row(r: random.Random, key: str, order: int, h: int) -> list:
+    r.seed(key)
+    return [r.randint(-h, h) for _ in range(order)]
+
+
+def _draw_width(order: int, h: int) -> int:
+    """Outputs a trial draws at once: enough for |G| acceptances at
+    _DRAW_SIGMAS standard deviations above the mean."""
+    n = 2 * h + 1
+    accept = n / (1 << n.bit_length())
+    return math.ceil((order + _DRAW_SIGMAS * math.sqrt(order * (1 - accept))) / accept)
+
+
+def _draw(r: random.Random, seed: int, ts: range, order: int, h: int, width: int):
+    """The rows of trials ts as a (len(ts), order) array, from ``width``
+    outputs a trial; int64 unless h is past 2^62."""
+    n = 2 * h + 1
+    k = n.bit_length()
+    if k > 32:
+        rows = [_randint_row(r, f"{seed}:{t}", order, h) for t in ts]
+        return np.array(rows, dtype=np.int64 if n < _INT64_MAX else object)
+    span = 4 * width  # bytes a trial
+    raw = bytearray(span * len(ts))
+    for i, t in enumerate(ts):
+        r.seed(f"{seed}:{t}")
+        raw[span * i:span * (i + 1)] = r.getrandbits(32 * width).to_bytes(span, "little")
+    # the top k bits of each output sit in its top `size` bytes
+    size = 1 if k <= 8 else 2 if k <= 16 else 4
+    step = 4 // size
+    top = np.frombuffer(raw, dtype=f"<u{size}").reshape(len(ts), -1)[:, step - 1::step]
+    draws = top >> (8 * size - k)
+    accepted = draws < n
+    rank = np.cumsum(accepted, axis=1, dtype=np.min_scalar_type(width))
+    full = rank[:, -1] >= order
+    accepted &= rank <= order
+    accepted[~full] = False
+    block = np.empty((len(ts), order), dtype=np.int64)
+    block[full] = draws[accepted].reshape(-1, order)
+    block -= h
+    for i in np.flatnonzero(~full).tolist():
+        block[i] = _randint_row(r, f"{seed}:{ts[i]}", order, h)
+    return block
+
+
+def _random_blocks(seed: int, trials: int, order: int, h: int):
+    """The rows of trials 0 to trials - 1 in blocks of at most
+    CHUNK_ROWS, each at most _DRAW_WORDS outputs."""
+    width = _draw_width(order, h)
+    step = max(1, min(CHUNK_ROWS, _DRAW_WORDS // width))
+    r = random.Random()
+    for lo in range(0, trials, step):
+        yield _draw(r, seed, range(lo, min(lo + step, trials)), order, h, width)
 
 
 def enumerate_values(cfg: SearchConfig) -> SearchResult:
@@ -188,8 +307,7 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
         for c0 in range(-h, h + 1):
             total.merge(run_shard(cfg, c0))
     elif cfg.mode == "random":
-        trials = (random.Random(f"{cfg.seed}:{t}") for t in range(cfg.trials))
-        _evaluate(cfg, (tuple(r.randint(-h, h) for _ in range(order)) for r in trials), total)
+        _collect(cfg, _random_blocks(cfg.seed, cfg.trials, order, h), total)
     else:
         raise InvalidParameter(f"unknown search mode {cfg.mode!r}")
     batched = cfg.kind == "heisenberg" and cfg.params[0] == 3
@@ -256,7 +374,7 @@ def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
     for lo in range(0, len(f_keys), step):
         s1, s2, q = (f[:, None] - g for f, g in zip(f_keys[lo:lo + step].T, g_keys.T))
         values = s1 * s2 * q * q  # values[a, b]: f in class lo + a, g in class b
-        kept = np.broadcast_to(col._keep(values), values.shape)
+        kept = col._kept(values)
         uniq.append(np.unique(values[kept]))
         absval = np.abs(values)
         kept = kept & (absval >= 2)

@@ -8,6 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupdet import (
     BudgetExceeded,
@@ -21,8 +22,18 @@ from groupdet import (
     measure_h3,
     min_coprime_residue,
 )
+from groupdet import search
 from groupdet.groups import KINDS, build_group
-from groupdet.search import _Collector, run_shard
+from groupdet.search import (
+    CHUNK_ROWS,
+    MAX_DISTINCT_VALUES,
+    SearchResult,
+    _Collector,
+    _draw,
+    _draw_width,
+    _random_blocks,
+    run_shard,
+)
 
 
 def _cfg(**kw):
@@ -254,12 +265,18 @@ def test_d8_class_pairs_match_brute_force(height, value_filter):
 
 @pytest.mark.parametrize("value_filter", ["coprime", "multiples"])
 def test_d8_class_pairs_match_generic_shards(value_filter):
-    # the witness rule of a filtered search is the one run_shard and the
-    # merge give on the per-row route
+    # the witness rule of a filtered search is the one the generic route
+    # gives: each shard's rows in one block through the collector, and
+    # the shards merged in increasing order
     cfg = SearchConfig(kind="dihedral", params=(8,), height=1, value_filter=value_filter)
+    span = np.arange(-1, 2)
+    rest = np.stack(np.meshgrid(*[span] * 7, indexing="ij"), axis=-1).reshape(-1, 7)
     acc = _Collector(cfg)
     for first in (-1, 0, 1):
-        acc.merge(run_shard(cfg, first))
+        rows = np.concatenate([np.full((len(rest), 1), first), rest], axis=1)
+        shard = _Collector(cfg)
+        shard.add_block(rows, dihedral_measure(rows, 4))
+        acc.merge(shard)
     res = enumerate_values(cfg)
     assert (res.evaluations, res.min_nontrivial) == (acc.evaluations, acc.best[1])
     assert res.witness == KINDS["dihedral"].terms((8,), acc.best[2])
@@ -267,7 +284,7 @@ def test_d8_class_pairs_match_generic_shards(value_filter):
 
 
 def test_random_search_memory_does_not_grow_with_trials():
-    # the evaluator sees chunks of CHUNK_ROWS trials, so ten times the
+    # the evaluator sees blocks of at most CHUNK_ROWS trials, so ten times the
     # trials may not raise the peak; max_values caps the one thing that
     # should grow, the set of attained values
     def peak(trials):
@@ -294,6 +311,212 @@ def test_search_reports_the_route():
         res = enumerate_values(SearchConfig(height=1, **kw))
         assert res.route == route
         assert res.to_report()["route"] == route
+
+
+# -- the random-trial stream -------------------------------------------------
+
+
+def _stdlib_rows(seed, ts, order, h):
+    # the stream's definition: trial t is |G| randint calls of Random(f"{seed}:{t}")
+    trials = (random.Random(f"{seed}:{t}") for t in ts)
+    return [[r.randint(-h, h) for _ in range(order)] for r in trials]
+
+
+def _sampled_rows(seed, trials, order, h):
+    blocks = list(_random_blocks(seed, trials, order, h))
+    assert all(len(b) <= search.CHUNK_ROWS for b in blocks)
+    return np.concatenate(blocks).tolist()
+
+
+@pytest.mark.parametrize("order", [5, 8, 16, 27, 125])
+def test_sampler_rows_equal_the_stdlib_stream(monkeypatch, order):
+    # 37 trials in blocks of at most 16: two full blocks and a short one
+    monkeypatch.setattr(search, "CHUNK_ROWS", 16)
+    for h in range(11):
+        for seed in (0, -7, 10 ** 12):
+            assert _sampled_rows(seed, 37, order, h) == _stdlib_rows(seed, range(37), order, h)
+
+
+def test_sampler_blocks_past_chunk_rows():
+    trials = 2 * CHUNK_ROWS + 5
+    blocks = list(_random_blocks(3, trials, 27, 2))
+    assert [len(b) for b in blocks] == [CHUNK_ROWS, CHUNK_ROWS, 5]
+    assert np.concatenate(blocks).tolist() == _stdlib_rows(3, range(trials), 27, 2)
+
+
+def _outputs_needed(seed, t, order, h):
+    # the 32-bit outputs trial t reads before its |G|-th accepted draw
+    n = 2 * h + 1
+    r = random.Random(f"{seed}:{t}")
+    used = accepted = 0
+    while accepted < order:
+        used += 1
+        accepted += r.getrandbits(n.bit_length()) < n
+    return used
+
+
+@pytest.mark.parametrize("h", [0, 4])
+def test_sampler_short_rows_fall_back_to_randint(monkeypatch, h):
+    # at 64 outputs a trial, some trials of heights 0 and 4 run short and
+    # take their own randint calls
+    monkeypatch.setattr(search, "_draw_width", lambda order, h: 64)
+    short = sum(_outputs_needed(1, t, 27, h) > 64 for t in range(400))
+    assert 0 < short < 400
+    assert _sampled_rows(1, 400, 27, h) == _stdlib_rows(1, range(400), 27, h)
+
+
+def test_sampler_every_row_short(monkeypatch):
+    monkeypatch.setattr(search, "_draw_width", lambda order, h: 1)
+    assert _sampled_rows(8, 30, 27, 3) == _stdlib_rows(8, range(30), 27, 3)
+
+
+@pytest.mark.parametrize("h", [2 ** 31 - 1, 2 ** 31, 2 ** 40, 10 ** 20])
+def test_sampler_wide_heights(h):
+    # up to 2^31 - 1 a draw is at most 32 bits and goes through the block;
+    # from 2^31 each trial takes randint's own calls, int64 rows below
+    # 2^62 and Python ints above
+    blocks = list(_random_blocks(4, 6, 27, h))
+    assert blocks[0].dtype == (object if h > 1 << 62 else np.int64)
+    assert np.concatenate(blocks).tolist() == _stdlib_rows(4, range(6), 27, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-10 ** 15, 10 ** 15), t=st.integers(0, 10 ** 6),
+       h=st.one_of(st.integers(0, 40), st.integers(0, 2 ** 40)), order=st.integers(1, 64))
+def test_sampler_stream_property(seed, t, h, order):
+    rows = _draw(random.Random(), seed, range(t, t + 2), order, h, _draw_width(order, h))
+    assert rows.tolist() == _stdlib_rows(seed, range(t, t + 2), order, h)
+
+
+# -- the block collector against one add per row ------------------------------
+
+
+class _RowCollector:
+    """The collector restated one row at a time, in the order met."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.p = KINDS[cfg.kind].base_prime(cfg.params)
+        self.values = set()
+        self.truncated = self.evaluations = 0
+        self.best = None
+
+    def _note(self, m):
+        if m not in self.values:
+            if len(self.values) < self.cfg.max_values:
+                self.values.add(m)
+            else:
+                self.truncated += 1
+
+    def add(self, m, coeffs):
+        self.evaluations += 1
+        keep = {"all": True, "coprime": m % self.p != 0,
+                "multiples": m % self.p == 0}[self.cfg.value_filter]
+        if keep:
+            self._note(m)
+            if abs(m) >= 2 and (self.best is None or abs(m) < self.best[0]):
+                self.best = (abs(m), m, tuple(coeffs))
+
+    def merge(self, other):
+        self.evaluations += other.evaluations
+        self.truncated += other.truncated
+        for v in other.values:
+            self._note(v)
+        if other.best is not None and (self.best is None or other.best < self.best):
+            self.best = other.best
+
+
+def _reference_report(cfg):
+    """The report of a search whose rows are drawn one randint at a time
+    (or listed by itertools.product) and added one row at a time."""
+    kind = KINDS[cfg.kind]
+    order, h = kind.order(cfg.params), cfg.height
+    route, ev = kind.route(cfg.params)
+
+    def feed(col, rows):
+        for coeffs, m in zip(rows, ev(rows)):
+            col.add(m, coeffs)
+        return col
+
+    total = _RowCollector(cfg)
+    if cfg.mode == "random":
+        feed(total, _stdlib_rows(cfg.seed, range(cfg.trials), order, h))
+    else:
+        span = range(-h, h + 1)
+        for c0 in span:
+            total.merge(feed(_RowCollector(cfg), [(c0,) + r for r in product(span, repeat=order - 1)]))
+    best = total.best or (None, None, None)
+    batched = (cfg.kind, cfg.params) == ("heisenberg", (3,))
+    res = SearchResult(config=cfg, route="batched" if batched else route,
+                       evaluations=total.evaluations, min_nontrivial=best[1],
+                       witness=None if total.best is None else kind.terms(cfg.params, best[2]),
+                       attained_values=sorted(total.values), values_truncated=total.truncated)
+    return res.to_report(value_cap=10 ** 9)
+
+
+@pytest.mark.parametrize("max_values", [MAX_DISTINCT_VALUES, 7])
+@pytest.mark.parametrize("value_filter", ["all", "coprime", "multiples"])
+@pytest.mark.parametrize("kind,params,height,mode", [
+    ("cyclic", (4,), 2, "exhaustive"), ("cyclic", (4,), 3, "random"),
+    ("cyclic", (5,), 2, "exhaustive"), ("cyclic", (5,), 2, "random"),
+    ("dicyclic", (8,), 1, "exhaustive"), ("dicyclic", (8,), 2, "random"),
+    ("heisenberg", (3,), 0, "exhaustive"), ("heisenberg", (3,), 2, "random")])
+def test_block_collector_matches_row_reference(monkeypatch, kind, params, height, mode,
+                                               value_filter, max_values):
+    # blocks of at most 64 rows, so that with --max-values 7 the set fills
+    # inside the first block and later blocks count what it leaves out
+    monkeypatch.setattr(search, "CHUNK_ROWS", 64)
+    cfg = SearchConfig(kind=kind, params=params, height=height, mode=mode, trials=500,
+                       seed=11, value_filter=value_filter, max_values=max_values)
+    report = enumerate_values(cfg).to_report(value_cap=10 ** 9)
+    assert report == _reference_report(cfg)
+    if report["num_distinct_values"] == 7:  # the set filled, and left values out
+        assert report["values_truncated"] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(-30, 30), st.integers(-2 ** 70, 2 ** 70)), max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=4),
+       max_values=st.integers(0, 12), value_filter=st.sampled_from(["all", "coprime", "multiples"]))
+def test_add_block_equals_row_adds(values, cuts, max_values, value_filter):
+    # any split of a value sequence into blocks, some past int64, gives
+    # the set, count and witness of one add per row
+    cfg = _cfg(max_values=max_values, value_filter=value_filter)
+    rows = np.arange(3 * len(values)).reshape(-1, 3)
+    ref, col = _RowCollector(cfg), _Collector(cfg)
+    for coeffs, m in zip(rows.tolist(), values):
+        ref.add(m, coeffs)
+    bounds = [0] + sorted(c for c in cuts if c < len(values)) + [len(values)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        col.add_block(rows[lo:hi], values[lo:hi])
+    assert (col.evaluations, col.values, col.truncated, col.best) == \
+        (ref.evaluations, ref.values, ref.truncated, ref.best)
+
+
+_BIG_HEIGHT_MIN = {  # min_nontrivial of the seed-2 searches below
+    "cyclic": "3757197683563749286211177056664711140380018440114695780882229305287193604818084683352935355496625004",
+}
+
+
+@pytest.mark.parametrize("kind,params", [("cyclic", (5,)), ("heisenberg", (3,)),
+                                         ("heisenberg", (5,)), ("dihedral", (8,))])
+def test_big_height_search_matches_per_trial_reference(kind, params):
+    # coefficients near 10^20 pass int64: rows and values stay Python ints
+    cfg = SearchConfig(kind=kind, params=params, height=10 ** 20, mode="random", trials=3, seed=2)
+    report = enumerate_values(cfg).to_report()
+    assert report == _reference_report(cfg)
+    assert report["min_nontrivial"] == _BIG_HEIGHT_MIN.get(kind, report["min_nontrivial"])
+
+
+def test_per_row_routes_take_python_ints():
+    # an int64 block reaches the character-product, Cayley and p >= 5
+    # Heisenberg routes as Python ints, so products past 2^63 stay exact
+    rng = np.random.default_rng(3)
+    for kind, params in (("elementary", (3, 2)), ("product", (2, 4)), ("heisenberg", (5,))):
+        _, ev = KINDS[kind].route(params)
+        block = rng.integers(-2 ** 40, 2 ** 40, size=(2, KINDS[kind].order(params)))
+        assert ev(block) == ev(block.tolist())
+        assert all(type(v) is int for v in ev(block))
 
 
 # -- growth constants -----------------------------------------------------------
