@@ -15,13 +15,11 @@ from .errors import (
     NotInteger,
     ParseError,
     PreconditionViolated,
-    PrimeMismatch,
     RootFindingFailed,
     ZeroPolynomial,
     ZeroSlice,
 )
 from .exactdet import det_bareiss, det_int, is_prime
-from .cyclotomic import CycInt
 from .groups import (
     GroupRingElt,
     GroupSpec,
@@ -40,8 +38,8 @@ from .measures import (
     dicyclic_measure,
     dihedral_measure,
     heisenberg_binomial_measure,
+    heisenberg_factorizations,
     heisenberg_measure,
-    heisenberg_phi_matrix,
     measure_h3,
 )
 from .verify import (

@@ -9,10 +9,6 @@ class InexactDivision(GroupDetError):
     """An exact-division step left a remainder."""
 
 
-class PrimeMismatch(GroupDetError):
-    """Cyclotomic operands defined for different primes were combined."""
-
-
 class NotInteger(GroupDetError):
     """A value that must certify as a rational integer failed the check."""
 

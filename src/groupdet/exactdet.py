@@ -1,13 +1,14 @@
-"""Exact determinants over the integers and other domains.
+"""Exact integer determinants and the multimodular certificate.
 
-One Bareiss elimination serves matrices over Z[w] (Heisenberg blocks of
-``CycInt`` entries) and over Z, where ``det_int`` uses it for small
-Cayley matrices and a certified multimodular elimination for large ones.
-The multimodular certificate is shared: ``modular_primes`` picks primes
-q = 1 (mod n) below 2^26 past twice a Hadamard bound, and ``crt_values``
-recovers the values and checks each against one further prime, for
-``det_int`` and for the circulant routes of ``measures``, which evaluate
-at n-th roots of unity modulo those primes.
+``det_bareiss`` is Bareiss elimination over Z, which ``det_int`` uses for
+small Cayley matrices; above ``MULTIMODULAR_CUTOFF`` rows ``det_int``
+eliminates modulo primes instead (``_det_mod``).  The certificate is
+shared: ``modular_primes`` picks primes q = 1 (mod n) below 2^26 past
+twice a bound on the value, and ``crt_values`` recovers the values and
+checks each against one further prime, for ``det_int`` and for the
+roots-of-unity engine of ``measures``, which evaluates at n-th roots of
+unity modulo those primes and eliminates its Heisenberg blocks with
+``_det_mod`` too.
 """
 
 from __future__ import annotations
@@ -47,37 +48,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RingElement:
-    """Marker base for entry types that provide their own exact division."""
-
-    __slots__ = ()
-
-    def divexact(self, other):
-        raise NotImplementedError
-
-
-def _divexact(a, b):
-    if isinstance(a, RingElement):
-        return a.divexact(b)
-    q, r = divmod(a, b)
-    if r:
-        raise InexactDivision(f"{a} is not divisible by {b}")
-    return q
-
-
 def det_bareiss(rows):
-    """Exact determinant of a square matrix by Bareiss elimination.
+    """Exact determinant of a square integer matrix by Bareiss elimination.
 
-    ``rows`` is a sequence of equal-length sequences.  Entries must support
-    ``*``, ``-``, unary ``-``, truthiness (falsy iff zero), and exact
-    division (``divmod`` for plain integers, ``divexact`` for ring objects).
-    Every interior division in the elimination is exact by the Sylvester
-    identity; a nonzero remainder raises :class:`InexactDivision` and means
-    the entries do not live in an integral domain.
+    ``rows`` is a sequence of equal-length sequences of integers (entries
+    need ``*``, ``-``, unary ``-``, truthiness and ``divmod``).  Every
+    interior division in the elimination is exact by the Sylvester
+    identity; a nonzero remainder raises :class:`InexactDivision`.
 
     Pivoting swaps in the first row with a nonzero entry in the pivot
-    column (tracked by a sign); a fully zero column short-circuits to the
-    zero of the entry ring.
+    column (tracked by a sign); a fully zero column short-circuits to zero.
     """
     n = len(rows)
     if n == 0:
@@ -96,8 +76,7 @@ def det_bareiss(rows):
                 piv = i
                 break
         if piv is None:
-            z = m[k][k]
-            return z - z
+            return 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
@@ -111,7 +90,10 @@ def det_bareiss(rows):
                     row_i[j] = row_i[j] * pivot - factor * row_k[j]
             else:
                 for j in range(k + 1, n):
-                    row_i[j] = _divexact(row_i[j] * pivot - factor * row_k[j], prev)
+                    num = row_i[j] * pivot - factor * row_k[j]
+                    row_i[j], r = divmod(num, prev)
+                    if r:
+                        raise InexactDivision(f"{num} is not divisible by {prev}")
         prev = pivot
 
     d = m[n - 1][n - 1]
@@ -144,14 +126,31 @@ def det_int(rows) -> int:
     return crt_values([[r] for r in residues], primes, modulus)[0]
 
 
+# (n, prime bound) -> (the primes q = 1 (mod n) below the bound found so
+# far, largest first; the search for the rest), so that each candidate is
+# tested once a process: a value of b bits takes about b / 26 primes, and
+# finding each takes some ten to twenty primality tests
+_PRIMES_FOUND = {}
+
+
+def _primes_1_mod(n: int):
+    step = n if n % 2 == 0 else 2 * n  # odd candidates only
+    top = (_PRIME_BOUND - 2) // step * step + 1
+    found, rest = _PRIMES_FOUND.setdefault((n, _PRIME_BOUND),
+                                           ([], filter(is_prime, range(top, n, -step))))
+    yield from found
+    for q in rest:
+        found.append(q)
+        yield q
+
+
 def modular_primes(bound_sq: int, n: int = 2) -> tuple:
     """Primes q = 1 (mod n) below 2^26, largest first, enough to recover
     any integer of absolute value at most sqrt(bound_sq): their product,
     the modulus, exceeds twice that.  One further prime, the last in the
     list, checks the result.  InvalidParameter if the primes run out."""
     primes, modulus = [], 1
-    top = (_PRIME_BOUND - 2) // n * n + 1
-    for q in filter(is_prime, range(top, n, -n)):
+    for q in _primes_1_mod(n):
         primes.append(q)
         if modulus * modulus > 4 * bound_sq:
             return primes, modulus
@@ -175,14 +174,37 @@ def crt_values(residues, primes, modulus) -> list:
     return value.tolist()
 
 
+def _pow_mod(x, e, q):
+    """x^e modulo q elementwise for int64 arrays (or scalars) with
+    0 <= x < q < 2^31 and e >= 0, by square and multiply."""
+    x, e = np.asarray(x, dtype=np.int64), np.asarray(e, dtype=np.int64)
+    out = np.ones(np.broadcast(x, e).shape, dtype=np.int64)
+    while e.any():
+        out = np.where(e & 1, out * x % q, out)
+        x, e = x * x % q, e >> 1
+    return out
+
+
+def _inverse_mod(v, q):
+    """v^-1 modulo q elementwise for int64 arrays, 0 for 0: Python's pow
+    below 256 values, where numpy's per-call cost dominates, and
+    v^(q - 2) by square and multiply from there on."""
+    if len(v) < 256:
+        return np.array([pow(x, -1, m) if x else 0 for x, m in zip(v.tolist(), q.tolist())],
+                        dtype=np.int64)
+    return _pow_mod(v, q - 2, q)
+
+
 def _det_mod(a, primes) -> list:
-    """Determinant of each a[b] modulo primes[b], entries in [0, primes[b]).
-    Each step reduces only the pivot row and column, so every other entry
-    gains at most one product of two residues a step: |entry| < n q^2 + q.
+    """Determinant of each a[b] modulo primes[b] (or modulo one prime for
+    all), entries in [0, prime).  Each step reduces only the pivot row and
+    column, so every other entry gains at most one product of two
+    residues a step: |entry| < n q^2 + q.
     """
     nb, n, _ = a.shape
-    q = np.array(primes, dtype=np.int64)
-    if n * max(primes) ** 2 + max(primes) >= 1 << 63:
+    q = np.broadcast_to(np.asarray(primes, dtype=np.int64), (nb,))
+    top = int(q.max()) if nb else 0
+    if n * top ** 2 + top >= 1 << 63:
         raise InvalidParameter(f"{n} x {n} is too large for int64 elimination")
     at = np.arange(nb)
     det = np.ones(nb, dtype=np.int64)
@@ -196,7 +218,6 @@ def _det_mod(a, primes) -> list:
             col = a[:, k:, k] % qc
         pivot = col[:, 0]
         det = det * pivot % q
-        inv = [pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes)]
-        factor = col[:, 1:] * np.array(inv, dtype=np.int64)[:, None] % qc
+        factor = col[:, 1:] * _inverse_mod(pivot, q)[:, None] % qc
         a[:, k + 1:, k + 1:] -= factor[:, :, None] * (a[:, k, k + 1:] % qc)[:, None, :]
     return det.tolist()

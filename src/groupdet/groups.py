@@ -32,7 +32,7 @@ from .measures import (
     circulant_det,
     dicyclic_measure,
     dihedral_measure,
-    heisenberg_measure,
+    heisenberg_factorizations,
     measure_h3,
 )
 
@@ -57,12 +57,14 @@ class GroupKind:
     built or ``exact(params)`` gives its exact determinant as (route
     name, evaluator).  The evaluator takes a chunk of flat coefficient
     vectors in ``labels`` order and returns their values, in order:
-    ``compute`` passes one row, the searches (B, |G|) arrays.  The
-    cyclic, dihedral and dicyclic evaluators take the whole chunk at once
-    (``circulant_det``, ``dihedral_measure``, ``dicyclic_measure``, by
-    evaluation at roots of unity modulo primes), as does the p = 3
-    Heisenberg kernel ``measure_h3``; the character-product, Cayley and
-    p >= 5 Heisenberg routes evaluate row by row, in Python ints.
+    ``compute`` passes one row, the searches (B, |G|) arrays.  Every
+    evaluator but the Cayley route takes the whole chunk at once: the
+    cyclic, dihedral, dicyclic, character-product and p >= 5 Heisenberg
+    routes by evaluation at roots of unity modulo primes
+    (``circulant_det``, ``dihedral_measure``, ``dicyclic_measure``,
+    ``abelian_measure``, ``heisenberg_factorizations``), and p = 3
+    Heisenberg in the int64 kernel ``measure_h3``.  The Cayley route
+    evaluates row by row, in Python ints.
     """
 
     keys: tuple
@@ -263,7 +265,7 @@ def _circulant_route(params):
 
 
 def _character_route(moduli):
-    return _per_row("character-product", lambda c: abelian_measure(moduli, c))
+    return "character-product", lambda rows: abelian_measure(moduli, rows)
 
 
 def _product_route(params):
@@ -279,7 +281,7 @@ def _heisenberg_route(params):
     p = params[0]
     if p == 3:
         return "factorized", measure_h3
-    return _per_row("factorized", lambda c: heisenberg_measure(p, c).m)
+    return "factorized", lambda rows: [f.m for f in heisenberg_factorizations(p, rows)]
 
 
 def _dihedral_route(params):

@@ -1,46 +1,208 @@
-"""Factorized exact group determinants.
+"""Factorized exact group determinants, by evaluation at roots of unity.
 
-One character product (``abelian_measure``) for (Z_p)^n, which
-``char_product_2d`` feeds a Z_p x Z_p coefficient grid (the abelian
-part M1 of the order-p^3 Heisenberg factorization M = M1 * M2^p and
-the Z_p x Z_p checks), the Heisenberg block factorization on the flat
-label-order coefficient vector that ``KINDS["heisenberg"].flat_coeffs``
-gives, its batched int64 kernel for p = 3 (``measure_h3``, a (B, 27)
-block of such vectors per call), and the binomial two-product shortcut.
-The cyclic, dihedral and dicyclic routes (``circulant_det``,
-``dihedral_measure``, ``dicyclic_measure``) each take a (B, |G|) block
-too: one engine evaluates every row at the roots of unity modulo primes
-q = 1 (mod N) in int64 and recovers the products by the certified
-Chinese remainder of ``exactdet``.  Every path returns exact integers
-and is cross-checked against the Cayley-matrix oracle in tests.
+Each fast route is a product of determinants whose entries are integer
+polynomials at N-th roots of unity, and one engine, ``_at_roots``,
+computes it for a chunk of coefficient rows at once.  Modulo primes
+q = 1 (mod N) an element of order N stands in for the complex root: the
+rows are reduced, evaluated by one int64 product with its powers, and
+multiplied out, and ``exactdet.crt_values`` recovers each value past a
+bound that the caller supplies and checks it against one further prime.
+
+* ``circulant_det``, ``dihedral_measure`` and ``dicyclic_measure``, for
+  the cyclic, dihedral and dicyclic groups: one value at each root, under
+  twice the Hadamard bound of the Cayley matrix.
+* ``abelian_measure``, for (Z_p)^n: one value per character, each a
+  length-p exponent accumulator evaluated at a p-th root w;
+  ``char_product_2d`` places a Z_p x Z_p coefficient grid for it.
+* ``heisenberg_factorizations``, for the order-p^3 Heisenberg group on
+  the flat label-order vectors of ``KINDS["heisenberg"].flat_coeffs``:
+  M = M1 * M2^p with M1 the character product of F(x, y, 1) and M2 the
+  product of the p - 1 block determinants det D(w^j), every block
+  eliminated modulo q by ``exactdet._det_mod``.  ``heisenberg_measure``
+  is its one-row form, ``heisenberg_binomial_measure`` the two-product
+  shortcut for F = f0 + x^k fk, and ``measure_h3`` a batched int64 kernel
+  over Z[w] for p = 3.
+
+The character and Heisenberg bounds come from the exact accumulators: a
+value sum_e acc_e w^e at a p-th root w != 1 is sum_e (acc_e - t) w^e for
+any integer t, since the powers of w sum to zero, so its absolute value
+is at most sum_e |acc_e - t| (``_spread``, t a median), for every Galois
+conjugate alike.  Every route returns exact integers and is checked
+against the Cayley-matrix oracle in tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
-from operator import getitem, itemgetter, mul
 
 import numpy as np
 
-from .cyclotomic import CycInt, eval_bivariate_at_roots
 from .errors import GroupDetError, InvalidParameter, NotInteger
-from .exactdet import _PRIME_BOUND, crt_values, det_bareiss, is_prime, modular_primes
+from .exactdet import _PRIME_BOUND, _det_mod, _pow_mod, crt_values, is_prime, modular_primes
+
+# rows x cells of one pass over a chunk: each int64 array of a pass stays
+# within 8 MB, so memory does not grow with the chunk
+_ROOT_CELLS = 1 << 20
+_INT64_MAX = (1 << 63) - 1
 
 
-def certified_int_product(values) -> int:
-    """Multiply cyclotomic factors and certify the result lies in Z.
+def _exact_rows(block, width: int, room: int = 1):
+    """``block`` as a (B, width) array of exact integers: int64 when every
+    entry times ``room`` stays inside int64, else Python ints in an
+    object array."""
+    try:
+        a = np.asarray(block, dtype=np.int64)
+    except (OverflowError, ValueError):
+        rows = [list(map(int, r)) for r in block]
+        if any(len(r) != width for r in rows):
+            raise InvalidParameter(f"need rows of {width} coefficients") from None
+        return np.array(rows, dtype=object).reshape(len(rows), width)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise InvalidParameter(f"need rows of {width} coefficients, got shape {a.shape}")
+    limit = _INT64_MAX // room
+    if a.size and not (-limit <= a.min() and a.max() <= limit):
+        return a.astype(object)
+    return a
 
-    The product of a full Galois orbit is a rational integer for
-    mathematical reasons; this does not trust that argument and raises
-    NotInteger if the canonical coordinates say otherwise.
+
+def _chunked(f, a, cells: int) -> list:
+    # f over slices of the rows of a, each of at most _ROOT_CELLS cells
+    step = max(1, _ROOT_CELLS // cells)
+    return [v for i in range(0, len(a), step) for v in f(a[i:i + step])]
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(q: int, order: int) -> int:
+    """An element of exact multiplicative order ``order`` modulo the prime
+    q = 1 (mod order): some w = g^((q - 1) / order) with w^order = 1 and
+    no power w^(order / r) equal to 1 for a prime r dividing the order."""
+    rs = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    for g in range(1, q):
+        w = pow(g, (q - 1) // order, q)
+        if pow(w, order, q) == 1 and all(pow(w, order // r, q) != 1 for r in rs):
+            return w
+    raise GroupDetError(f"no element of order {order} modulo {q}")
+
+
+def _powers(primes, order: int):
+    """w^0, ..., w^(order - 1) modulo each q of ``primes`` for the w of
+    ``_root_of_unity``, a (primes, order) int64 array, by doubling."""
+    q = np.array(primes, dtype=np.int64)[:, None]
+    step = np.array([_root_of_unity(p, order) for p in primes], dtype=np.int64)[:, None]
+    pw = np.ones((len(q), order), dtype=np.int64)
+    m = 1
+    while m < order:
+        pw[:, m:2 * m] = pw[:, :min(m, order - m)] * step % q
+        m, step = 2 * m, step * step % q
+    return pw
+
+
+def _prod_mod(v, q):
+    """The product over axis 1 of v modulo q, entries in [0, q)."""
+    while v.shape[1] > 1:  # multiply out in halves
+        half = v.shape[1] // 2
+        v = np.concatenate([v[:, :half] * v[:, half:2 * half] % q, v[:, 2 * half:]], axis=1)
+    return v[:, 0]
+
+
+def _at_roots(x, parts: int, length: int, order: int, ks, factor, bound_sq: int) -> list:
+    """Exact values of the rows of x, as a list of ints, each of absolute
+    value at most sqrt(bound_sq).
+
+    Each row of x, an exact (B, parts * length) array from
+    ``_exact_rows``, is ``parts`` polynomials of ``length`` coefficients.
+    For each prime q of ``modular_primes(bound_sq, order)``, e[b, j, i] is
+    polynomial j of row b at w^ks[i] modulo q, for w of the given order,
+    and the value of row b modulo q is the product of the entries of
+    factor(e, q)[b].  Passes take as many primes at once as keep their
+    arrays near _ROOT_CELLS cells, stacked along the first axis of e, with
+    q the matching (rows, 1, 1) column of primes.  The matrix product sums
+    ``length`` products of residues below 2^26, so lengths from 2048 on,
+    where that sum could pass 2^63, raise InvalidParameter.
     """
-    total = reduce(mul, values)
-    n = total.as_integer()
-    if n is None:
-        raise NotInteger(f"product is not a rational integer: {total!r}")
-    return n
+    if length * _PRIME_BOUND ** 2 >= 1 << 63:
+        raise InvalidParameter(f"{length} coefficients are too many for int64 evaluation")
+    if not len(x):
+        return []
+    primes, modulus = modular_primes(bound_sq, order)
+    at = np.outer(np.arange(length), ks) % order
+    per = max(1, _ROOT_CELLS // (x.size + len(x) * parts * len(ks)))
+    residues = []
+    for i in range(0, len(primes), per):
+        batch = primes[i:i + per]
+        q = np.array(batch, dtype=np.int64).reshape(-1, 1, 1)
+        r = np.asarray(x % q.astype(x.dtype), dtype=np.int64).reshape(len(batch), -1, length)
+        e = r @ _powers(batch, order)[:, at] % q
+        q = np.repeat(q, len(x), axis=0)
+        v = factor(e.reshape(len(q), parts, -1), q).reshape(len(q), -1) % q[:, 0]
+        residues.append(_prod_mod(v, q[:, 0]).reshape(len(batch), -1))
+    return crt_values(np.concatenate(residues), primes, modulus)
+
+
+def _spread(acc):
+    """sum_e |acc_e - t| along the last axis, t a median of the acc_e: a
+    bound on |sum_e acc_e w^e| at every root w != 1 of order the axis
+    length, a prime."""
+    t = np.sort(acc, axis=-1)[..., acc.shape[-1] // 2, None]
+    return abs(acc - t).sum(axis=-1)
+
+
+def _max_prod(a) -> int:
+    # the largest product along the last axis of a 2-D array of bounds
+    return max(map(math.prod, a.tolist()))
+
+
+# -- character products --------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _shift_index(p: int):
+    # index pair ((e - x g) mod p, g), for gathering the terms g that a
+    # character x moves to the exponent e, broadcast to shape (x, e, g)
+    x, e, g = np.ogrid[:p, :p, :p]
+    return (e - x * g) % p, np.broadcast_to(g, (p, p, p))
+
+
+def _character_sums(a, p: int, n: int):
+    """acc[b, x, e]: the sum of a[b, g] over the labels g of (Z_p)^n with
+    x . g = e (mod p), for each character x in label order, so that F at
+    x is sum_e acc[b, x, e] w^e.  One coordinate of the labels at a time
+    moves into the characters: cells of p^(n + 2) a row."""
+    s = np.zeros((len(a), 1, p, p ** n), dtype=a.dtype)  # characters, exponent, labels left
+    s[:, 0, 0] = a
+    shift, g = _shift_index(p)
+    for _ in range(n):
+        t = s.reshape(len(a), s.shape[1], p, p, -1)[:, :, shift, g].sum(axis=4)
+        s = t.reshape(len(a), -1, p, t.shape[-1])
+    return s.reshape(len(a), -1, p)
+
+
+def _characters(a, p: int, n: int) -> list:
+    # the product of the character values of each row of an exact chunk
+    acc = _character_sums(a, p, n)
+    bound = _max_prod(_spread(acc))
+    return _at_roots(acc.reshape(len(a), -1), p ** n, p, p, [1], lambda e, q: e[:, :, 0],
+                     bound * bound)
+
+
+def abelian_measure(moduli, block) -> list:
+    """Group determinant over the product of cyclic groups with these
+    moduli for each row of a (B, |G|) block of coefficient vectors, in
+    the label order of ``GroupKind.labels`` (``itertools.product``, last
+    exponent fastest): the product of its p^n character values.
+
+    Requires every factor of the group to be the same prime p (this is
+    the only abelian shape the rest of the package needs exactly).
+    """
+    p, n = moduli[0], len(moduli)
+    if not (is_prime(p) and all(m == p for m in moduli)):
+        raise InvalidParameter(
+            f"character products need all factors equal to one prime, got {tuple(moduli)}")
+    a = _exact_rows(block, p ** n, 2 * p ** n)
+    return _chunked(lambda c: _characters(c, p, n), a, p ** (n + 2))
 
 
 def char_product_2d(coeffs2d, p: int) -> int:
@@ -50,46 +212,7 @@ def char_product_2d(coeffs2d, p: int) -> int:
     """
     from .groups import KINDS  # groups imports this module for its routes
     terms = [((b, k), c) for b, row in enumerate(coeffs2d) for k, c in enumerate(row) if c]
-    return abelian_measure((p, p), KINDS["elementary"].flat_coeffs((p, 2), terms))
-
-
-def abelian_measure(moduli, coeffs) -> int:
-    """Group determinant over the product of cyclic groups with these
-    moduli, computed as the product of character values, certified
-    integral.  ``coeffs`` follow the labels in ``itertools.product``
-    order (last exponent fastest), as ``GroupKind.labels`` lists them.
-
-    Requires every factor of the group to be the same prime p (this is
-    the only abelian shape the rest of the package needs exactly).  Every
-    one of the p^n characters is evaluated on its own, and all of their
-    values go through ``certified_int_product``.
-    """
-    p = moduli[0]
-    if not (is_prime(p) and all(n == p for n in moduli)):
-        raise InvalidParameter(
-            f"character products need all factors equal to one prime, got {tuple(moduli)}")
-    if len(coeffs) != p ** len(moduli):
-        raise InvalidParameter(f"need {p ** len(moduli)} coefficients, got {len(coeffs)}")
-    # One gather reads each row of coefficients along the last exponent t,
-    # with its sum and a zero appended, into table[r]: entry e * p + k, for
-    # 0 <= e < 2p, is the coefficient of w^(e mod p) under the character
-    # t -> x t, which takes row[e k] for x = 1/k (k > 0) and, for x = 0
-    # (k = 0), the sum at e = 0 mod p.  So the p * p entries from e = p - s,
-    # the slice cut[s], hold the values of every x shifted by s.
-    gather = itemgetter(*[e * k % p if k else (p if e % p == 0 else p + 1)
-                          for e in range(2 * p) for k in range(p)])
-    rows = [coeffs[i:i + p] for i in range(0, len(coeffs), p)]
-    table = [gather((*row, sum(row), 0)) for row in rows]
-    cut = [slice((p - s) * p, (2 * p - s) * p) for s in range(p)]
-    vals = []
-    for head in product(range(p), repeat=len(moduli) - 1):
-        # the exponent that the character `head` gives each row's label
-        shifts = [0]
-        for y in head:
-            shifts = [(s + y * t) % p for s in shifts for t in range(p)]
-        acc = list(map(sum, zip(*map(getitem, table, [cut[s] for s in shifts]))))
-        vals += [CycInt.from_exponent_vector(p, acc[k::p]) for k in range(p)]
-    return certified_int_product(vals)
+    return abelian_measure((p, p), [KINDS["elementary"].flat_coeffs((p, 2), terms)])[0]
 
 
 # -- Heisenberg factorization --------------------------------------------
@@ -105,177 +228,116 @@ class HeisenbergFactorization:
     m: int
 
 
-def _heisenberg_rows(p: int, coeffs) -> list:
-    """The coefficient vector of F = sum a_ijk x^i y^j z^k over the
-    order-p^3 Heisenberg group, a_ijk at (i * p + j) * p + k as
-    ``KINDS["heisenberg"].flat_coeffs`` places it, cut into its p^2 rows
-    [a_ij0, ..., a_ij(p-1)], row i * p + j.  Checks p and the length."""
+@lru_cache(maxsize=16)
+def _block_index(p: int):
+    # entry (r, c) of D(w) is f_(r - c)(w^c, w), with f_i(y, z) the x^i
+    # slice: its coefficient of w^e gathers a_(r-c)yz over the p pairs
+    # (y, z) with c y + z = e (mod p); shape (r, c, e, y) into (i, y, z)
+    r, c, e, y = np.ogrid[:p, :p, :p, :p]
+    return ((r - c) % p * p + y) * p + (e - c * y) % p
+
+
+def _heisenberg_chunk(a, p: int) -> list:
+    """(m1, m2) of each row of an exact chunk of flat vectors.  Entry
+    (r, c) of the block D(w^j) is the accumulator of entry (r, c) of D(w)
+    at w^j, so one set of bounds, Hadamard's over the rows, serves all
+    p - 1 blocks."""
+    b = len(a)
+    m1 = _characters(a.reshape(b, p * p, p).sum(axis=2), p, 2)
+    acc = a[:, _block_index(p)].sum(axis=-1)  # (B, r, c, e)
+    beta = _spread(acc)
+    if beta.dtype != object and beta.max() >= 1 << 24:
+        beta = beta.astype(object)
+    bound_sq = _max_prod((beta * beta).sum(axis=2)) ** (p - 1)
+
+    def factor(e, q):  # e[b, r p + c, j - 1] is entry (r, c) of D(w^j)
+        blocks = np.moveaxis(e.reshape(-1, p, p, p - 1), 3, 1).reshape(-1, p, p)
+        return np.array(_det_mod(blocks, np.repeat(q.ravel(), p - 1)), dtype=np.int64)
+
+    m2 = _at_roots(acc.reshape(b, -1), p * p, p, p, np.arange(1, p), factor, bound_sq)
+    return list(zip(m1, m2))
+
+
+def heisenberg_factorizations(p: int, block) -> list:
+    """Exact determinant of F over the order-p^3 Heisenberg group, as a
+    HeisenbergFactorization, for each row of a (B, p^3) block of
+    coefficient vectors (a_ijk at (i * p + j) * p + k).
+
+    m1 is the abelian part, the determinant of F(x, y, 1) over Z_p x Z_p;
+    m2 is the product of the p - 1 nonabelian p x p block determinants
+    D(w^j), every one of them eliminated.  The full value is m1 * m2**p.
+    """
     if not is_prime(p) or p == 2:
         raise InvalidParameter(f"Heisenberg group needs an odd prime, got {p}")
-    if len(coeffs) != p ** 3:
-        raise InvalidParameter(f"need {p ** 3} coefficients, got {len(coeffs)}")
-    return [coeffs[r:r + p] for r in range(0, p ** 3, p)]
-
-
-def heisenberg_phi_matrix(p: int, coeffs, j: int):
-    """The p x p block of the irreducible representation indexed by w^j.
-
-    With F = sum_i x^i f_i(y, z), entry (r, c) (0-indexed) is
-    f_{(r-c) mod p}(w^{j c}, w^j): x acts as the cyclic row shift, y as
-    the diagonal of powers of w^j, and z as the scalar w^j.
-    """
-    rows = _heisenberg_rows(p, coeffs)
-    # evaluate each x-slice (rows i * p .. i * p + p - 1, [y-exp][z-exp])
-    # at every needed y-power once
-    evals = [[eval_bivariate_at_roots(rows[i * p:(i + 1) * p], (j * c) % p, j, p)
-              for c in range(p)] for i in range(p)]
-    return [[evals[(r - c) % p][c] for c in range(p)] for r in range(p)]
-
-
-def _factorization(p: int, m1: int, block: CycInt) -> HeisenbergFactorization:
-    """M = m1 * m2**p from the block determinant D(w).
-
-    F has integer coefficients, so D(w^j) = D(w).galois(j) and their
-    product m2 is the norm of D(w).  The norm of any element of Z[w] is a
-    rational integer, so its NotInteger check only guards the Z[w]
-    arithmetic, not the identity D(w^j) = D(w).galois(j).  At run time
-    that identity is checked only through M: ``compute`` tests the
-    congruence M = F(1,1,1)^(p^3) mod p^3, and
-    ``test_block_values_are_the_conjugates_of_one_block`` eliminates
-    every block and compares it with the matching conjugate of D(w)."""
-    m2 = block.norm()
-    return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p)
-
-
-def _z_collapse(p: int, coeffs) -> list:
-    """Coefficients of F(x, y, 1) as a grid [x-exp][y-exp]."""
-    sums = list(map(sum, _heisenberg_rows(p, coeffs)))
-    return [sums[i:i + p] for i in range(0, p * p, p)]
+    a = _exact_rows(block, p ** 3, 2 * p ** 3)
+    return [HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p)
+            for m1, m2 in _chunked(lambda c: _heisenberg_chunk(c, p), a, p ** 4)]
 
 
 def heisenberg_measure(p: int, coeffs) -> HeisenbergFactorization:
-    """Exact determinant of F over the order-p^3 Heisenberg group, F
-    given by its coefficient vector (a_ijk at (i * p + j) * p + k).
-
-    m1 is the abelian part (the determinant of F(x, y, 1) over Z_p x Z_p);
-    m2 is the product of the p - 1 nonabelian p x p block determinants
-    D(w^j).  The full value is m1 * m2**p.  Only D(w) is eliminated; the
-    other blocks are its Galois conjugates and m2 is its norm.
-    """
-    m1 = char_product_2d(_z_collapse(p, coeffs), p)
-    return _factorization(p, m1, det_bareiss(heisenberg_phi_matrix(p, coeffs, 1)))
+    """``heisenberg_factorizations`` of one coefficient vector."""
+    if len(coeffs) != p ** 3:
+        raise InvalidParameter(f"need {p ** 3} coefficients, got {len(coeffs)}")
+    return heisenberg_factorizations(p, [coeffs])[0]
 
 
 def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorization:
-    """Shortcut for binomial-in-x polynomials F = f0(y,z) + x^k fk(y,z).
+    """Shortcut for binomial-in-x polynomials F = f0(y,z) + x^k fk(y,z),
+    f0 and fk given as grids [y-exp][z-exp], exponents reduced mod p.
 
     For such F the block determinant collapses to a two-term sum of
-    products, D(w) = prod_i f0(w^i, w) + prod_i fk(w^i, w), and the
+    products, D(w^j) = prod_i f0(w^i, w^j) + prod_i fk(w^i, w^j), and the
     abelian part to prod_i (f0(w^i,1)^p + fk(w^i,1)^p).  Requires
     1 <= k < p.  Results agree with the generic route (tested), just
-    without the p x p determinant.
+    without the p x p determinants.
     """
     if not 1 <= k < p:
         raise InvalidParameter(f"binomial exponent k={k} must be in 1..{p - 1}")
-    m1_terms = []
-    for i in range(p):
-        a = eval_bivariate_at_roots(f0, i, 0, p)
-        b = eval_bivariate_at_roots(fk, i, 0, p)
-        m1_terms.append(a ** p + b ** p)
-    m1 = certified_int_product(m1_terms)
-    prod0 = reduce(lambda a, b: a * b,
-                   (eval_bivariate_at_roots(f0, i, 1, p) for i in range(p)))
-    prodk = reduce(lambda a, b: a * b,
-                   (eval_bivariate_at_roots(fk, i, 1, p) for i in range(p)))
-    return _factorization(p, m1, prod0 + prodk)
+    grids = np.zeros((2, p, p), dtype=object)
+    for grid, f in zip(grids, (f0, fk)):
+        for y, row in enumerate(f):
+            for z, c in enumerate(row):
+                grid[y % p, z % p] += int(c)
+    # m1: f(y, 1) at every p-th root; at 1 the value is bounded by |f(1, 1)|
+    ys = grids.sum(axis=2)
+    at_one = sum(abs(s) ** p for s in ys.sum(axis=1).tolist())
+    bound = at_one * sum(b ** p for b in _spread(ys).tolist()) ** (p - 1)
+    m1, = _at_roots(ys.reshape(1, -1), 2, p, p, np.arange(p),
+                    lambda e, q: _pow_mod(e[:, 0], p, q[:, 0]) + _pow_mod(e[:, 1], p, q[:, 0]),
+                    bound * bound)
+    # m2: f(w^(i j), w^j) is the accumulator of f(w^i, w) at w^j
+    shift, g = _shift_index(p)
+    acc = grids[:, g, shift].sum(axis=-1)  # (f0 | fk, i, e)
+    bound = sum(math.prod(b) for b in _spread(acc).tolist())
+    m2, = _at_roots(acc.reshape(1, -1), 2 * p, p, p, np.arange(1, p),
+                    lambda e, q: _prod_mod(e[:, :p], q) + _prod_mod(e[:, p:], q),
+                    bound ** (2 * (p - 1)))
+    return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p)
 
 
 # -- circulants by evaluation at roots of unity ------------------------------
 #
 # The cyclic, dihedral and dicyclic values are products over N-th roots of
 # unity: prod_k h(w^k) for a circulant, and for F = f + y g over a dihedral
-# or dicyclic group a product of f(w^k) f(w^-k) -+ g(w^k) g(w^-k).  Modulo
-# a prime q = 1 (mod N) an element w of exact order N stands in for the
-# complex root: a chunk of rows is reduced mod q, evaluated by one int64
-# product with the powers of w, and multiplied out.  ``crt_values`` then
-# recovers each value past twice the Hadamard bound (sum c^2)^(|G| / 2) of
-# its Cayley matrix, every row of which is a signed permutation of the
-# row's |G| coefficients c, and checks it against one further prime.
-
-# rows x parts x roots of one pass over a chunk: each int64 array of a pass
-# stays within 8 MB, so memory does not grow with the chunk
-_ROOT_CELLS = 1 << 20
+# or dicyclic group a product of f(w^k) f(w^-k) -+ g(w^k) g(w^-k).  Their
+# bound is twice the Hadamard bound (sum c^2)^(|G| / 2) of the Cayley
+# matrix, every row of which is a signed permutation of the row's |G|
+# coefficients c.
 
 
-def _root_of_unity(q: int, order: int) -> int:
-    """An element of exact multiplicative order ``order`` modulo the prime
-    q = 1 (mod order): some w = g^((q - 1) / order) with w^order = 1 and
-    no power w^(order / r) equal to 1 for a prime r dividing the order."""
-    rs = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
-    for g in range(1, q):
-        w = pow(g, (q - 1) // order, q)
-        if pow(w, order, q) == 1 and all(pow(w, order // r, q) != 1 for r in rs):
-            return w
-    raise GroupDetError(f"no element of order {order} modulo {q}")
-
-
-def _powers(w: int, order: int, q: int):
-    """w^0, ..., w^(order - 1) modulo q, as int64, by doubling."""
-    pw = np.ones(order, dtype=np.int64)
-    m, step = 1, w
-    while m < order:
-        pw[m:2 * m] = pw[:min(m, order - m)] * step % q
-        m, step = 2 * m, step * step % q
-    return pw
-
-
-def _at_roots(block, parts: int, length: int, order: int, ks, factor) -> list:
-    """Exact values of a chunk of rows, as a list of ints.
-
-    Each row of ``block`` is ``parts`` polynomials of ``length``
-    coefficients.  Modulo each prime q, e[b, j, i] is polynomial j of row b
-    at w^ks[i] for w of the given order, and the value of row b is the
-    product over i of factor(e, q)[b, i].  Entries past int64 are reduced
-    exactly, in Python.  The matrix product sums ``length`` products of
-    residues below 2^26, so lengths from 2048 on, where that sum could
-    pass 2^63, raise InvalidParameter before any block is built.
-    """
-    if length * _PRIME_BOUND ** 2 >= 1 << 63:
-        raise InvalidParameter(f"{length} coefficients are too many for int64 evaluation")
-    width = parts * length
-    try:
-        a = np.asarray(block, dtype=np.int64)
-        rows = None
-    except (OverflowError, ValueError):
-        a, rows = None, [list(map(int, r)) for r in block]
-    if a is not None and (a.ndim != 2 or a.shape[1] != width):
-        raise InvalidParameter(f"need rows of {width} coefficients, got shape {a.shape}")
-    if rows is not None and any(len(r) != width for r in rows):
-        raise InvalidParameter(f"need rows of {width} coefficients")
-    count = len(a) if rows is None else len(rows)
-    step = max(1, _ROOT_CELLS // (parts * len(ks)))
-    if count > step:
-        chunk = a if rows is None else rows
-        return [v for i in range(0, count, step)
-                for v in _at_roots(chunk[i:i + step], parts, length, order, ks, factor)]
-    if count == 0:
-        return []
-    if rows is None and -(1 << 20) < a.min() and a.max() < 1 << 20:
-        norm = int(np.einsum("ij,ij->i", a, a).max())
+def _hadamard_sq(x) -> int:
+    # (largest sum c^2 over the rows)^|G|: the Hadamard bound, squared
+    if x.dtype != object and -(1 << 20) < x.min() and x.max() < 1 << 20:
+        norm = int(np.einsum("ij,ij->i", x, x).max())
     else:
-        norm = max(sum(x * x for x in r) for r in (a.tolist() if rows is None else rows))
-    primes, modulus = modular_primes(norm ** width, order)
-    at = np.outer(np.arange(length), ks) % order
-    residues = []
-    for q in primes:
-        x = a % q if rows is None else np.array([[v % q for v in r] for r in rows], dtype=np.int64)
-        e = x.reshape(-1, length) @ _powers(_root_of_unity(q, order), order, q)[at] % q
-        v = factor(e.reshape(count, parts, -1), q) % q
-        while v.shape[1] > 1:  # multiply the columns out in halves
-            half = v.shape[1] // 2
-            v = np.concatenate([v[:, :half] * v[:, half:2 * half] % q, v[:, 2 * half:]], axis=1)
-        residues.append(v[:, 0])
-    return crt_values(residues, primes, modulus)
+        norm = max(sum(v * v for v in r) for r in x.tolist())
+    return norm ** x.shape[1]
+
+
+def _circulant_family(block, parts: int, length: int, order: int, ks, factor) -> list:
+    a = _exact_rows(block, parts * length)
+    return _chunked(lambda c: _at_roots(c, parts, length, order, ks, factor, _hadamard_sq(c)),
+                    a, parts * length)
 
 
 def circulant_det(block, n: int, sign: int = 1) -> list:
@@ -287,7 +349,7 @@ def circulant_det(block, n: int, sign: int = 1) -> list:
     if n < 1 or sign not in (1, -1):
         raise InvalidParameter(f"need n >= 1 and sign 1 or -1, got {n} and {sign}")
     ks = np.arange(n) if sign == 1 else np.arange(1, 2 * n, 2)
-    return _at_roots(block, 1, n, n if sign == 1 else 2 * n, ks, lambda e, q: e[:, 0])
+    return _circulant_family(block, 1, n, n if sign == 1 else 2 * n, ks, lambda e, q: e[:, 0])
 
 
 def _two_part(block, length: int, sign) -> list:
@@ -297,9 +359,9 @@ def _two_part(block, length: int, sign) -> list:
 
     def factor(e, q):
         f, g = e[:, 0], e[:, 1]
-        return f * f[:, neg] - sign * (g * g[:, neg] % q)
+        return f * f[:, neg] - sign * (g * g[:, neg] % q[:, 0])
 
-    return _at_roots(block, 2, length, length, np.arange(length), factor)
+    return _circulant_family(block, 2, length, length, np.arange(length), factor)
 
 
 def dihedral_measure(block, n: int) -> list:
@@ -369,14 +431,14 @@ def measure_h3(block) -> list:
     """heisenberg_measure(3, row).m for each row of a (B, 27) block of
     flat coefficient vectors (a_ijk at 9i + 3j + k), as a list of ints.
 
-    Rows of height at most H3_HEIGHT are evaluated together in int64;
-    any other row, or every row of a block that does not fit int64, takes
-    ``heisenberg_measure``.  The products m1 and m2 are certified: a
-    nonzero w-coordinate raises NotInteger."""
+    Rows of height at most H3_HEIGHT are evaluated together in int64; the
+    other rows, or every row of a block that does not fit int64, go as one
+    block to ``heisenberg_factorizations``.  The products m1 and m2 are
+    certified: a nonzero w-coordinate raises NotInteger."""
     try:
         block = np.asarray(block, dtype=np.int64)
     except OverflowError:
-        return [heisenberg_measure(3, list(row)).m for row in block]
+        return [f.m for f in heisenberg_factorizations(3, block)]
     if block.ndim != 2 or block.shape[1] != 27:
         raise InvalidParameter(f"need rows of 27 coefficients, got shape {block.shape}")
     fits = ((block >= -H3_HEIGHT) & (block <= H3_HEIGHT)).all(axis=1)
@@ -397,5 +459,5 @@ def measure_h3(block) -> list:
     if m2[1].any():
         raise NotInteger("block determinant product is not a rational integer")
     fast = iter([a * b ** 3 for a, b in zip(m1[0].tolist(), m2[0].tolist())])
-    return [next(fast) if ok else heisenberg_measure(3, row).m
-            for ok, row in zip(fits.tolist(), block.tolist())]
+    slow = iter([f.m for f in heisenberg_factorizations(3, block[~fits])])
+    return [next(fast) if ok else next(slow) for ok in fits.tolist()]

@@ -118,7 +118,7 @@ class _Collector:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.p = kind_of(cfg.kind).base_prime(cfg.params)
-        self.values = set()
+        self.values = {}  # the kept values as keys, in the order met
         self.truncated = 0
         self.evaluations = 0
         self.best = None  # (abs value, value, coeff tuple)
@@ -134,13 +134,6 @@ class _Collector:
             return values % self.p == 0
         raise InvalidParameter(f"unknown value filter {vf!r}")
 
-    def _note(self, m: int) -> None:
-        if m not in self.values:
-            if len(self.values) < self.cfg.max_values:
-                self.values.add(m)
-            else:
-                self.truncated += 1
-
     def add_block(self, rows, values) -> None:
         """Take the values of a block of rows as if one row at a time: the
         kept values join the set in the order met until it holds
@@ -155,7 +148,7 @@ class _Collector:
         new = np.flatnonzero([v not in self.values for v in distinct.tolist()])
         new = new[np.argsort(first[new])]
         room = max(0, self.cfg.max_values - len(self.values))
-        self.values.update(distinct[new[:room]].tolist())
+        self.values.update(dict.fromkeys(distinct[new[:room]].tolist()))
         left_out = np.zeros(len(distinct), dtype=bool)
         left_out[new[room:]] = True
         self.truncated += int(np.count_nonzero(left_out[inverse]))
@@ -167,10 +160,16 @@ class _Collector:
                 self.best = (int(size[i]), int(values[i]), tuple(rows[at[i]].tolist()))
 
     def merge(self, other: "_Collector") -> None:
+        """Take a later shard as if its rows followed: its kept values join
+        in the order it met them, while there is room."""
         self.evaluations += other.evaluations
         self.truncated += other.truncated
         for v in other.values:
-            self._note(v)
+            if v not in self.values:
+                if len(self.values) < self.cfg.max_values:
+                    self.values[v] = None
+                else:
+                    self.truncated += 1
         if other.best is not None and (self.best is None or other.best < self.best):
             self.best = other.best
 
@@ -387,7 +386,7 @@ def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
                 hits += zip(f_first[lo + a].tolist(), g_first[b].tolist(),
                             values[a, b].tolist(), f_shard[lo + a].tolist())
     uniq = np.unique(np.concatenate(uniq))
-    col.values = set(uniq[:cfg.max_values].tolist())
+    col.values = dict.fromkeys(uniq[:cfg.max_values].tolist())
     col.truncated = max(0, len(uniq) - cfg.max_values)
     if hits:
         firsts = {}  # shard -> (m, f first, g first) of its first vector of smallest |m|

@@ -19,12 +19,7 @@ from typing import Optional
 from .errors import InexactDivision, InvalidParameter, PreconditionViolated
 from .exactdet import is_prime
 from .groups import KINDS
-from .measures import (
-    HeisenbergFactorization,
-    char_product_2d,
-    circulant_det,
-    heisenberg_measure,
-)
+from .measures import char_product_2d, circulant_det, heisenberg_measure, measure_h3
 from .polyring import pow_fold_cyclic
 
 
@@ -67,18 +62,17 @@ class CongruenceReport:
     holds: bool
 
 
-def check_measure_congruence(p: int, coeffs,
-                             fac: Optional[HeisenbergFactorization] = None
-                             ) -> CongruenceReport:
-    """Verify that the determinant of F (its coefficient vector) over the
-    order-p^3 Heisenberg group is congruent to F(1,1,1)^(p^3) mod p^3."""
-    if fac is None:
-        fac = heisenberg_measure(p, coeffs)
+def check_measure_congruence(p: int, coeffs, m: Optional[int] = None) -> CongruenceReport:
+    """Verify that the determinant m of F (its coefficient vector) over
+    the order-p^3 Heisenberg group, computed here unless given, is
+    congruent to F(1,1,1)^(p^3) mod p^3."""
+    if m is None:
+        m = heisenberg_measure(p, coeffs).m
     modulus = p ** 3
     base = sum(coeffs)
-    lhs = fac.m % modulus
+    lhs = m % modulus
     rhs = pow(base, p ** 3, modulus)
-    return CongruenceReport(p=p, m=fac.m, base=base, modulus=modulus,
+    return CongruenceReport(p=p, m=m, base=base, modulus=modulus,
                             lhs_residue=lhs, rhs_residue=rhs,
                             holds=lhs == rhs)
 
@@ -201,14 +195,12 @@ def zp2_sharp_family(p: int, k: int = 0, units=(1, 1, 1)):
                                  exact=v == expected)
 
 
-def heisenberg_divisibility_check(p: int, coeffs,
-                                  fac: Optional[HeisenbergFactorization] = None
-                                  ) -> SharpnessReport:
+def heisenberg_divisibility_check(p: int, coeffs, m: Optional[int] = None) -> SharpnessReport:
     """Over the order-p^3 Heisenberg group: if p divides the determinant
-    of F (its coefficient vector) then p^(p^2+3) does."""
-    if fac is None:
-        fac = heisenberg_measure(p, coeffs)
-    m = fac.m
+    m of F (its coefficient vector), computed here unless given, then
+    p^(p^2+3) does."""
+    if m is None:
+        m = heisenberg_measure(p, coeffs).m
     expected = p * p + 3
     v = p_valuation(m, p)
     applicable = not (m % p)
@@ -308,10 +300,10 @@ def h3_family_values(m: int) -> list:
     """Evaluate the five families at shift m and compare each against
     its closed-form claimed value.  Together (with negations) the five
     families attain every value allowed by the mod-27 classification."""
+    polys = h3_family_polys(m)
     out = []
-    for (label, poly), (_, (_, claim)) in zip(h3_family_polys(m),
-                                              _H3_FAMILY_TERMS.items()):
-        computed = heisenberg_measure(3, poly).m
+    for (label, poly), computed, (_, claim) in zip(polys, measure_h3([f for _, f in polys]),
+                                                  _H3_FAMILY_TERMS.values()):
         claimed = claim(m)
         out.append(FamilyValue(label=label, m=m, poly=poly, claimed=claimed,
                                computed=computed, matches=computed == claimed))

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import groupdet
-from groupdet import CycInt, GroupRingElt, NotInteger, build_group, group_determinant
+from groupdet import GroupRingElt, build_group, group_determinant
 from groupdet.cli import main
 from groupdet.groups import KINDS, _cached_group, poly_from_json, poly_to_json
 
@@ -522,18 +522,6 @@ def test_no_arguments_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
 
 
-def test_failed_integrality_certificate_exits_1(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(CycInt, "as_integer", lambda self: None)
-    with pytest.raises(NotInteger):
-        CycInt.from_exponent_vector(3, [1, 1, 0]).norm()
-    path = write_poly(tmp_path, "h.json", {"kind": "heisenberg", "p": 3},
-                      [{"exps": [0, 0, 0], "coef": 2}, {"exps": [1, 0, 0], "coef": 1}])
-    code, out, err = run_cli(capsys, "compute", path)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-
-
 def test_failed_residue_certificate_exits_1(capsys, monkeypatch):
     import groupdet.search
     monkeypatch.setattr(groupdet.search, "is_power_residue", lambda x, p, n: False)
@@ -634,17 +622,43 @@ def test_oracle_exits_1_when_the_check_prime_disagrees(capsys, tmp_path, monkeyp
     assert err.startswith("error: multimodular determinant fails its check")
 
 
-def test_check_prime_failure_exits_1_under_python_O(tmp_path):
-    path = _oracle_input(tmp_path)
+def _sabotage_check_residue(measures):
+    """Make the check prime's residues that the roots-of-unity engine hands
+    to crt_values wrong."""
+    original = measures.crt_values
+
+    def sabotaged(residues, primes, modulus):
+        residues = list(residues)
+        residues[-1] = (residues[-1] + 1) % primes[-1]
+        return original(residues, primes, modulus)
+
+    return sabotaged
+
+
+def _heisenberg_input(tmp_path):
+    rng = random.Random(41)
+    return write_poly(tmp_path, "h5.json", {"kind": "heisenberg", "p": 5},
+                      [{"exps": [i, j, k], "coef": rng.randint(-2, 2)}
+                       for i in range(5) for j in range(5) for k in range(5)])
+
+
+def _elementary_input(tmp_path):
+    rng = random.Random(42)
+    return write_poly(tmp_path, "e33.json", {"kind": "elementary", "p": 3, "n": 3},
+                      [{"exps": [i, j, k], "coef": rng.randint(-2, 2)}
+                       for i in range(3) for j in range(3) for k in range(3)])
+
+
+def _exit_under_python_O(command, path, patch):
     script = (
         "import sys\n"
         "if sys.flags.optimize < 1:\n"
         "    sys.exit(99)\n"
-        "from groupdet import exactdet\n"
+        "from groupdet import exactdet, measures\n"
         "from groupdet.cli import main\n"
-        "from test_cli import _sabotage_check_prime\n"
-        "exactdet._det_mod = _sabotage_check_prime(exactdet)\n"
-        f"sys.exit(main(['oracle', {path!r}]))\n"
+        "from test_cli import _sabotage_check_prime, _sabotage_check_residue\n"
+        f"{patch}\n"
+        f"sys.exit(main([{command!r}, {path!r}]))\n"
     )
     src = str(Path(groupdet.__file__).resolve().parent.parent)
     tests = str(Path(__file__).resolve().parent)
@@ -654,3 +668,17 @@ def test_check_prime_failure_exits_1_under_python_O(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: multimodular determinant fails its check")
+
+
+def test_check_prime_failure_exits_1_under_python_O(tmp_path):
+    _exit_under_python_O("oracle", _oracle_input(tmp_path),
+                         "exactdet._det_mod = _sabotage_check_prime(exactdet)")
+
+
+@pytest.mark.parametrize("make_input", [_heisenberg_input, _elementary_input],
+                         ids=["heisenberg", "elementary"])
+def test_roots_check_prime_failure_exits_1_under_python_O(tmp_path, make_input):
+    # the engine's certificate is an explicit raise too: compute on a
+    # Heisenberg p = 5 and an elementary abelian input
+    _exit_under_python_O("compute", make_input(tmp_path),
+                         "measures.crt_values = _sabotage_check_residue(measures)")

@@ -7,7 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from groupdet import CycInt, GroupDetError, InexactDivision, det_bareiss, det_int, is_prime
+from groupdet import GroupDetError, InexactDivision, det_bareiss, det_int, is_prime
 from groupdet import exactdet
 from groupdet.errors import InvalidParameter
 from groupdet.exactdet import MULTIMODULAR_CUTOFF
@@ -114,17 +114,16 @@ def test_large_matrix_known_determinant():
     assert isinstance(det_bareiss(prod), int)
 
 
-def test_cyclotomic_entries_galois_equivariance():
-    # det(sigma(A)) = sigma(det(A)) for the coefficient-permuting maps
-    rng = random.Random(33)
-    p = 5
-    for _ in range(10):
-        a = [[CycInt(p, [rng.randint(-3, 3) for _ in range(p - 1)])
-              for _ in range(3)] for _ in range(3)]
-        d = det_bareiss(a)
-        for k in range(1, p):
-            mapped = [[x.galois(k) for x in row] for row in a]
-            assert det_bareiss(mapped) == d.galois(k)
+@pytest.mark.parametrize("count", [5, 300])
+def test_inverse_mod_on_both_sides_of_its_cutoff(count):
+    # Python's pow for short arrays, square and multiply for long ones
+    rng = random.Random(count)
+    q = np.array(_first_primes(3) * count, dtype=np.int64)[:count]
+    v = np.array([rng.randrange(int(m)) for m in q], dtype=np.int64)
+    v[0] = 0
+    got = exactdet._inverse_mod(v, q).tolist()
+    assert got[0] == 0
+    assert got[1:] == [pow(int(x), -1, int(m)) for x, m in zip(v[1:], q[1:])]
 
 
 def test_inexact_division_is_reported():

@@ -2,8 +2,9 @@
 
 Every fast formula here (character products, the order-p^3 block
 factorization, the binomial shortcut, the two-part dihedral/dicyclic
-reductions, and the batched p = 3 kernel) is checked against
-group_determinant, which builds the honest n x n matrix and eliminates.
+reductions, all by evaluation at roots of unity modulo primes, and the
+batched p = 3 kernel) is checked against group_determinant, which builds
+the honest n x n matrix and eliminates.
 """
 
 import math
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdet import (
-    CycInt,
     GroupDetError,
     GroupRingElt,
     InvalidParameter,
@@ -28,19 +28,14 @@ from groupdet import (
     dihedral_measure,
     group_determinant,
     heisenberg_binomial_measure,
+    heisenberg_factorizations,
     heisenberg_measure,
-    heisenberg_phi_matrix,
     measure_h3,
 )
-from groupdet.exactdet import MULTIMODULAR_CUTOFF, det_bareiss, det_int
+from groupdet.exactdet import MULTIMODULAR_CUTOFF, det_int
 from groupdet.groups import KINDS, build_group, kind_of
-from groupdet.measures import H3_HEIGHT, certified_int_product
-from groupdet.verify import random_heisenberg_poly
-
-
-def _root(p, k=1):
-    """The root of unity w^k."""
-    return CycInt.from_exponent_vector(p, [int(e == k % p) for e in range(p)])
+from groupdet.measures import H3_HEIGHT
+from groupdet.verify import achieve_construction, random_heisenberg_poly
 
 
 def _elt(g, terms):
@@ -87,7 +82,7 @@ def test_cyclic_three_simple_value():
     g = build_group("cyclic", 3)
     f = _elt(g, [((0,), 1), ((1,), 1)])  # 1 + x
     # (1+1)(1+w)(1+w^2) = 2 * (w^3 + ... ) = 2
-    assert abelian_measure(g.moduli, f.coeffs) == 2
+    assert abelian_measure(g.moduli, [f.coeffs]) == [2]
     assert group_determinant(f) == 2
 
 
@@ -98,19 +93,19 @@ def test_abelian_measure_matches_oracle(g):
     for _ in range(30):
         f = _elt(
             g, [(e, rng.randint(-5, 5)) for e in g.element_exps])
-        assert abelian_measure(g.moduli, f.coeffs) == group_determinant(f)
+        assert abelian_measure(g.moduli, [f.coeffs]) == [group_determinant(f)]
 
 
 def test_abelian_measure_rejects_mixed_orders():
     from groupdet import InvalidParameter
     with pytest.raises(InvalidParameter):
-        abelian_measure((2, 3), [1, 0, 0, 0, 0, 0])
+        abelian_measure((2, 3), [[1, 0, 0, 0, 0, 0]])
 
 
 def test_abelian_measure_rejects_a_short_coefficient_vector():
     from groupdet import InvalidParameter
     with pytest.raises(InvalidParameter):
-        abelian_measure((3, 3), [1] * 8)
+        abelian_measure((3, 3), [[1] * 8])
 
 
 def test_circulant_matches_oracle_composite_order():
@@ -126,42 +121,7 @@ def test_circulant_matches_oracle_composite_order():
         circulant_det([1, 2], 2)  # one row, not a chunk
 
 
-def test_certified_product_refuses_non_integers():
-    with pytest.raises(NotInteger):
-        certified_int_product([_root(3)])
-
-
 # -- the order-p^3 block structure ------------------------------------------
-
-
-def test_block_matrix_of_central_generator():
-    # F = z: every block is the scalar w^j
-    f = _heisenberg_poly(3, [((0, 0, 1), 1)])
-    for j in (1, 2):
-        m = heisenberg_phi_matrix(3, f, j)
-        for r in range(3):
-            for c in range(3):
-                expect = _root(3, j) if r == c else CycInt.from_int(3, 0)
-                assert m[r][c] == expect
-
-
-def test_block_matrix_of_x_is_the_shift():
-    f = _heisenberg_poly(5, [((1, 0, 0), 1)])
-    m = heisenberg_phi_matrix(5, f, 2)
-    for r in range(5):
-        for c in range(5):
-            expect = CycInt.one(5) if (r - c) % 5 == 1 else CycInt.from_int(5, 0)
-            assert m[r][c] == expect
-
-
-def test_block_matrix_of_y_is_diagonal_of_powers():
-    p, j = 5, 3
-    f = _heisenberg_poly(p, [((0, 1, 0), 1)])
-    m = heisenberg_phi_matrix(p, f, j)
-    for r in range(p):
-        for c in range(p):
-            expect = _root(p, (j * c) % p) if r == c else CycInt.from_int(p, 0)
-            assert m[r][c] == expect
 
 
 @pytest.mark.parametrize("exps", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -182,27 +142,68 @@ def test_factorization_matches_oracle(p):
         assert fac.m == group_determinant(_heisenberg_elt(p, f))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-@settings(max_examples=8, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_block_values_are_the_conjugates_of_one_block(p, data):
-    # the factorization eliminates only the block at w; each other block
-    # eliminated on its own must equal the matching Galois conjugate
-    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=p ** 3, max_size=p ** 3),
-                       label="coeffs")
-    fac = heisenberg_measure(p, coeffs)
-    blocks = [det_bareiss(heisenberg_phi_matrix(p, coeffs, j)) for j in range(1, p)]
-    for j in range(1, p):
-        assert blocks[0].galois(j) == blocks[j - 1]
-    assert fac.m2 == certified_int_product(blocks)
-
-
 def test_heisenberg_routes_check_p_and_length():
-    for fn in (heisenberg_measure, lambda p, c: heisenberg_phi_matrix(p, c, 1)):
+    for fn in (heisenberg_measure, lambda p, c: heisenberg_factorizations(p, [c])):
         with pytest.raises(InvalidParameter, match="needs an odd prime, got 2"):
             fn(2, [1] * 8)
-        with pytest.raises(InvalidParameter, match="need 27 coefficients, got 26"):
+        with pytest.raises(InvalidParameter, match="need (rows of )?27 coefficients"):
             fn(3, [1] * 26)
+
+
+def _sparse_row(rng, p, terms, height):
+    row = [0] * p ** 3
+    for i in rng.sample(range(p ** 3), terms):
+        row[i] = rng.choice([c for c in range(-height, height + 1) if c])
+    return row
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_route_matches_cayley_oracle(p):
+    # one block through the roots-of-unity engine against the Cayley
+    # determinant; at p = 7 (order 343, past the CLI's oracle cap) the
+    # rows are sparse so that the multimodular oracle stays near a second
+    rng = random.Random(80 + p)
+    g = build_group("heisenberg", p)
+    rows = [_sparse_row(rng, p, 8, 2)]
+    if p < 7:
+        rows += [random_heisenberg_poly(rng, p, 2), random_heisenberg_poly(rng, p, 6)]
+    if p == 3:
+        big = random_heisenberg_poly(rng, p, 2)
+        big[4], big[20] = 2 ** 70, -3 ** 50
+        rows += [big, achieve_construction(4, -3, p)[0], achieve_construction(2, 10 ** 20, p)[0]]
+    got = heisenberg_factorizations(p, rows)
+    for f, fac in zip(rows, got):
+        assert fac.m == fac.m1 * fac.m2 ** p
+        assert fac.m == group_determinant(GroupRingElt(g, f), g.order)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_route_hits_the_constructed_values(p):
+    # achieve_construction rows, some with coefficients past int64, in one
+    # block with small rows: each value is a^(p^2) + m p^3 exactly
+    rng = random.Random(90 + p)
+    cases = [(a, m) for a in (1, 2, p + 1, 3 * p - 1) for m in (-8, 0, 7, 10 ** 30)]
+    rows = [achieve_construction(a, m, p)[0] for a, m in cases]
+    assert max(max(map(abs, f)) for f in rows) > 2 ** 63
+    constant = [-2] + [0] * (p ** 3 - 1)  # the value is (-2)^(p^3)
+    small = [random_heisenberg_poly(rng, p, 2) for _ in range(3)]
+    got = [fac.m for fac in heisenberg_factorizations(p, rows + [constant] + small)]
+    assert got[:len(cases)] == [a ** (p * p) + m * p ** 3 for a, m in cases]
+    assert got[len(cases)] == (-2) ** (p ** 3)
+    assert got[len(cases) + 1:] == [heisenberg_measure(p, f).m for f in small]
+
+
+@pytest.mark.parametrize("params", [(3, 3), (5, 2), (2, 5), (7, 1)])
+def test_character_route_matches_cayley_oracle(params):
+    rng = random.Random(f"chars:{params}")
+    g = build_group("elementary", *params)
+    n = g.order
+    rows = [[0] * n, [1] + [0] * (n - 2) + [-1], [rng.randint(-3, 3) for _ in range(n)],
+            [rng.randint(-3, 3) for _ in range(n)], [2 ** 70] + [1] * (n - 1),
+            [rng.randint(-2 ** 65, 2 ** 65) for _ in range(n)]]
+    rows.append([params[0] * c for c in rows[2]])  # every coefficient a multiple of p
+    assert abelian_measure(g.moduli, rows) == \
+        [group_determinant(GroupRingElt(g, f)) for f in rows]
 
 
 def test_x_free_input_reduces_to_character_product():
@@ -468,10 +469,18 @@ def test_rows_split_into_passes_keep_their_values(monkeypatch):
     import groupdet.measures
     rng = random.Random(74)
     rows = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(9)]
-    expect = (circulant_det(rows, 12), dihedral_measure(rows, 6), dicyclic_measure(rows, 3))
-    monkeypatch.setattr(groupdet.measures, "_ROOT_CELLS", 30)  # two or three rows a pass
-    assert (circulant_det(rows, 12), dihedral_measure(rows, 6), dicyclic_measure(rows, 3)) \
-        == expect
+    heis = [random_heisenberg_poly(rng, 5, 3) for _ in range(5)]
+    chars = [[rng.randint(-3, 3) for _ in range(25)] for _ in range(5)]
+
+    def values():
+        return (circulant_det(rows, 12), dihedral_measure(rows, 6), dicyclic_measure(rows, 3),
+                heisenberg_factorizations(5, heis), abelian_measure((5, 5), chars))
+
+    expect = values()
+    # two or three circulant rows a pass, one row and one prime a pass for
+    # the character and Heisenberg routes
+    monkeypatch.setattr(groupdet.measures, "_ROOT_CELLS", 30)
+    assert values() == expect
 
 
 def test_roots_check_prime_catches_a_wrong_residue(monkeypatch):
@@ -484,8 +493,12 @@ def test_roots_check_prime_catches_a_wrong_residue(monkeypatch):
         return original(residues, primes, modulus)
 
     monkeypatch.setattr(groupdet.measures, "crt_values", sabotaged)
+    heis = _heisenberg_poly(5, [((0, 0, 0), 2), ((1, 2, 0), 1), ((0, 1, 3), -1)])
     for call in (lambda: circulant_det([[1, 2, 3]], 3), lambda: dihedral_measure([[1, 2]], 1),
-                 lambda: dicyclic_measure([[1, 2, 3, 4]], 1)):
+                 lambda: dicyclic_measure([[1, 2, 3, 4]], 1),
+                 lambda: abelian_measure((3, 3), [[2, 1] + [0] * 7]),
+                 lambda: heisenberg_measure(5, heis),
+                 lambda: heisenberg_binomial_measure([[2, 1]], [[0, 1]], 1, 5)):
         with pytest.raises(GroupDetError, match="fails its check"):
             call()
 
@@ -528,16 +541,31 @@ def test_batched_values_equal_one_row_values(data):
     assert exact(rows) == [exact([r])[0] for r in rows]
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_character_and_heisenberg_blocks_equal_one_row_values(data):
+    kind, params = data.draw(st.sampled_from([
+        ("elementary", (2, 3)), ("elementary", (3, 2)), ("elementary", (5, 2)),
+        ("heisenberg", (3,)), ("heisenberg", (5,))]), label="group")
+    _, exact = kind_of(kind).route(params)
+    order = kind_of(kind).order(params)
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    rows = data.draw(st.lists(st.lists(coeff, min_size=order, max_size=order),
+                              min_size=1, max_size=4), label="rows")
+    assert exact(rows) == [exact([r])[0] for r in rows]
+
+
 # -- the batched p = 3 kernel ------------------------------------------------
 
 
 def test_fast_kernel_matches_generic():
     # at height 5 nearly every row has a coefficient past H3_HEIGHT and
-    # takes the generic route inside the kernel
+    # takes the generic route inside the kernel; the generic values come
+    # from one block (block and one-row values agree, tested above)
     rng = random.Random(70)
     for height in range(1, 6):
         rows = [[rng.randint(-height, height) for _ in range(27)] for _ in range(2000)]
-        assert measure_h3(rows) == [heisenberg_measure(3, f).m for f in rows]
+        assert measure_h3(rows) == [f.m for f in heisenberg_factorizations(3, rows)]
 
 
 def test_fast_kernel_flat_order_matches_poly_flat():
@@ -558,6 +586,24 @@ def test_fast_kernel_mixes_rows_on_both_sides_of_the_int64_bound():
     rows[0] = [2 ** 70] + [0] * 26
     assert measure_h3(rows) == [heisenberg_measure(3, f).m for f in rows]
     assert measure_h3(rows)[0] == 2 ** (70 * 27)
+
+
+def test_fast_kernel_block_mixing_heights_gives_per_row_values():
+    # rows inside the height bound take the int64 kernel; rows past it, and
+    # with a row past int64 the whole block, go as one block to the
+    # Heisenberg route: either way each row gets its own value
+    rng = random.Random(75)
+    g = build_group("heisenberg", 3)
+    rows = [random_heisenberg_poly(rng, 3, H3_HEIGHT) for _ in range(3)]
+    rows += [random_heisenberg_poly(rng, 3, 50) for _ in range(3)]
+    rows.insert(2, [H3_HEIGHT + 1] + [0] * 26)
+    oracle = [group_determinant(GroupRingElt(g, f)) for f in rows]
+    assert measure_h3(rows) == oracle == [measure_h3([f])[0] for f in rows]
+    huge = [0] * 27
+    huge[13], huge[0] = 2 ** 64, 1
+    rows.insert(4, huge)
+    oracle.insert(4, group_determinant(GroupRingElt(g, huge)))
+    assert measure_h3(rows) == oracle == [measure_h3([f])[0] for f in rows]
 
 
 @pytest.mark.parametrize("column,message", [(27 + 1, "abelian character product"),

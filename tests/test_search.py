@@ -14,6 +14,7 @@ from groupdet import (
     BudgetExceeded,
     InvalidParameter,
     SearchConfig,
+    circulant_det,
     dihedral_measure,
     enumerate_values,
     evaluation_budget,
@@ -397,14 +398,14 @@ class _RowCollector:
     def __init__(self, cfg):
         self.cfg = cfg
         self.p = KINDS[cfg.kind].base_prime(cfg.params)
-        self.values = set()
+        self.values = {}  # in the order met
         self.truncated = self.evaluations = 0
         self.best = None
 
     def _note(self, m):
         if m not in self.values:
             if len(self.values) < self.cfg.max_values:
-                self.values.add(m)
+                self.values[m] = None
             else:
                 self.truncated += 1
 
@@ -474,6 +475,24 @@ def test_block_collector_matches_row_reference(monkeypatch, kind, params, height
         assert report["values_truncated"] > 0
 
 
+def test_exhaustive_shards_keep_the_values_met_first():
+    # the first shard of cyclic:3 at height 2 meets 13 distinct values and
+    # the second meets -2 early: with room for 18, the merge must take the
+    # later shards' values in the order the lexicographic walk meets them
+    cfg = SearchConfig(kind="cyclic", params=(3,), height=2, max_values=18)
+    report = enumerate_values(cfg).to_report(value_cap=10 ** 9)
+    assert report == _reference_report(cfg)
+    walk = [circulant_det([r], 3)[0] for r in product(range(-2, 3), repeat=3)]
+    first = list(dict.fromkeys(walk))[:18]
+    assert -2 in first
+    assert report["attained_values"] == [str(v) for v in sorted(first)]
+    # a collector merged from shard collectors keeps them in that order too
+    acc = _Collector(cfg)
+    for c0 in range(-2, 3):
+        acc.merge(run_shard(cfg, c0))
+    assert list(acc.values) == first
+
+
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.one_of(st.integers(-30, 30), st.integers(-2 ** 70, 2 ** 70)), max_size=60),
        cuts=st.lists(st.integers(0, 60), max_size=4),
@@ -489,8 +508,8 @@ def test_add_block_equals_row_adds(values, cuts, max_values, value_filter):
     bounds = [0] + sorted(c for c in cuts if c < len(values)) + [len(values)]
     for lo, hi in zip(bounds, bounds[1:]):
         col.add_block(rows[lo:hi], values[lo:hi])
-    assert (col.evaluations, col.values, col.truncated, col.best) == \
-        (ref.evaluations, ref.values, ref.truncated, ref.best)
+    assert (col.evaluations, list(col.values), col.truncated, col.best) == \
+        (ref.evaluations, list(ref.values), ref.truncated, ref.best)
 
 
 _BIG_HEIGHT_MIN = {  # min_nontrivial of the seed-2 searches below
