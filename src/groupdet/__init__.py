@@ -1,10 +1,11 @@
 """Exact integer group determinants for small finite groups.
 
-Exact factorized determinants (abelian character products, the
-order-p^3 Heisenberg factorization, dihedral/dicyclic closed forms),
-verifiers for the congruence, attainability and sharp-divisibility
-claims they satisfy, bounded value searches, and numeric Mahler-type
-measures for the infinite-group limits.
+Exact factorized determinants (character products over every product
+of cyclic groups, the order-p^3 Heisenberg factorization,
+dihedral/dicyclic closed forms) and the Cayley-matrix oracle they are
+checked against, verifiers for the congruence, attainability and
+sharp-divisibility claims they satisfy, bounded value searches, and
+numeric Mahler-type measures for the infinite-group limits.
 """
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     ZeroPolynomial,
     ZeroSlice,
 )
-from .exactdet import det_bareiss, det_int, is_prime
+from .exactdet import det_int, is_prime
 from .groups import (
     GroupRingElt,
     GroupSpec,
@@ -34,7 +35,6 @@ from .measures import (
     HeisenbergFactorization,
     abelian_measure,
     char_product_2d,
-    circulant_det,
     dicyclic_measure,
     dihedral_measure,
     heisenberg_binomial_measure,

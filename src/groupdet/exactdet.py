@@ -1,14 +1,13 @@
 """Exact integer determinants and the multimodular certificate.
 
-``det_bareiss`` is Bareiss elimination over Z, which ``det_int`` uses for
-small Cayley matrices; above ``MULTIMODULAR_CUTOFF`` rows ``det_int``
-eliminates modulo primes instead (``_det_mod``).  The certificate is
-shared: ``modular_primes`` picks primes q = 1 (mod n) below 2^26 past
-twice a bound on the value, and ``crt_values`` recovers the values and
-checks each against one further prime, for ``det_int`` and for the
-roots-of-unity engine of ``measures``, which evaluates at n-th roots of
-unity modulo those primes and eliminates its Heisenberg blocks with
-``_det_mod`` too.
+``det_int`` is the one determinant of integer matrices, the Cayley
+matrices of the ``oracle``: it eliminates modulo primes (``_det_mod``).
+The certificate is shared: ``modular_primes`` picks primes q = 1 (mod n)
+below 2^26 past twice a bound on the value, and ``crt_values`` recovers
+the values and checks each against one further prime, for ``det_int``
+and for the roots-of-unity engine of ``measures``, which evaluates at
+n-th roots of unity modulo those primes and eliminates its Heisenberg
+blocks with ``_det_mod`` too.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ import math
 
 import numpy as np
 
-from .errors import GroupDetError, InexactDivision, InvalidParameter
+from .errors import GroupDetError, InvalidParameter
 
-# Below this dimension Bareiss over Z is faster than the multimodular
-# route, which works modulo primes below 2^26 (so its entries stay in
-# int64) in batches that keep the int64 block near 1 MB.
-MULTIMODULAR_CUTOFF = 32
+# Elimination works modulo primes below 2^26, so that its entries stay in
+# int64, in batches that keep the int64 block near 1 MB.
 _PRIME_BOUND = 1 << 26
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -48,69 +45,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def det_bareiss(rows):
-    """Exact determinant of a square integer matrix by Bareiss elimination.
-
-    ``rows`` is a sequence of equal-length sequences of integers (entries
-    need ``*``, ``-``, unary ``-``, truthiness and ``divmod``).  Every
-    interior division in the elimination is exact by the Sylvester
-    identity; a nonzero remainder raises :class:`InexactDivision`.
-
-    Pivoting swaps in the first row with a nonzero entry in the pivot
-    column (tracked by a sign); a fully zero column short-circuits to zero.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix has no determinant here")
-    m = [list(r) for r in rows]
-    for r in m:
-        if len(r) != n:
-            raise ValueError("matrix is not square")
-
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            factor = row_i[k]
-            if prev is None:
-                for j in range(k + 1, n):
-                    row_i[j] = row_i[j] * pivot - factor * row_k[j]
-            else:
-                for j in range(k + 1, n):
-                    num = row_i[j] * pivot - factor * row_k[j]
-                    row_i[j], r = divmod(num, prev)
-                    if r:
-                        raise InexactDivision(f"{num} is not divisible by {prev}")
-        prev = pivot
-
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
 def det_int(rows) -> int:
-    """Exact determinant of a square matrix of Python ints: ``det_bareiss``
-    below ``MULTIMODULAR_CUTOFF`` rows.  Above, the determinant is taken
+    """Exact determinant of a nonempty square matrix of Python ints, taken
     modulo the ``modular_primes`` of its Hadamard bound and recovered by
     ``crt_values``, which checks it against one further prime.
     """
     n = len(rows)
-    if n < MULTIMODULAR_CUTOFF:
-        return det_bareiss(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
+    if not n or any(len(r) != n for r in rows):
+        raise ValueError("need a nonempty square matrix")
     primes, modulus = modular_primes(math.prod(sum(a * a for a in r) for r in rows))
     try:
         a = np.array(rows, dtype=np.int64)

@@ -4,12 +4,13 @@ Groups are concrete: a multiplication table, inverse table, and a labeling
 of elements by exponent tuples for the generators of each supported kind
 (cyclic, products of cyclics, the order-p^3 Heisenberg group, dihedral,
 dicyclic).  The table route is the slow, obviously-correct oracle that the
-factorized determinant formulas are checked against.  ``KINDS`` maps each
-kind name to what the package knows about it: parameters, labels, label
-product and exact route.  An element of the group ring of any kind, the
-Heisenberg polynomials included, is one flat coefficient vector in label
-order: ``GroupKind.flat_coeffs`` places terms into it and
-``GroupKind.terms`` lists them back.
+factorized determinant formulas are checked against; the ``oracle``
+command is its only caller, and every exact route reads the labels
+alone.  ``KINDS`` maps each kind name to what the package knows about
+it: parameters, labels, label product and exact route.  An element of
+the group ring of any kind, the Heisenberg polynomials included, is one
+flat coefficient vector in label order: ``GroupKind.flat_coeffs`` places
+terms into it and ``GroupKind.terms`` lists them back.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import InvalidParameter, ParseError
 from .exactdet import det_int, is_prime
 from .measures import (
     abelian_measure,
-    circulant_det,
     dicyclic_measure,
     dihedral_measure,
     heisenberg_factorizations,
@@ -58,13 +58,12 @@ class GroupKind:
     name, evaluator).  The evaluator takes a chunk of flat coefficient
     vectors in ``labels`` order and returns their values, in order:
     ``compute`` passes one row, the searches (B, |G|) arrays.  Every
-    evaluator but the Cayley route takes the whole chunk at once: the
-    cyclic, dihedral, dicyclic, character-product and p >= 5 Heisenberg
-    routes by evaluation at roots of unity modulo primes
-    (``circulant_det``, ``dihedral_measure``, ``dicyclic_measure``,
-    ``abelian_measure``, ``heisenberg_factorizations``), and p = 3
-    Heisenberg in the int64 kernel ``measure_h3``.  The Cayley route
-    evaluates row by row, in Python ints.
+    evaluator takes the whole chunk at once: the cyclic, elementary,
+    product, dihedral, dicyclic and p >= 5 Heisenberg routes by
+    evaluation at roots of unity modulo primes (``abelian_measure``,
+    ``dihedral_measure``, ``dicyclic_measure``,
+    ``heisenberg_factorizations``), and p = 3 Heisenberg in the int64
+    kernel ``measure_h3``.  No route builds a Cayley table.
     """
 
     keys: tuple
@@ -253,28 +252,12 @@ def _dicyclic_mul(ps, a, b):
 # -- exact routes on flat coefficient vectors ----------------------------
 
 
-def _per_row(name, f):
-    # a route without a vectorized body: its evaluator maps f over the
-    # chunk, each row as Python ints, since an int64 entry would overflow
-    return name, lambda rows: [f(c) for c in np.asarray(rows, dtype=object).tolist()]
-
-
 def _circulant_route(params):
-    n = params[0]
-    return "circulant", lambda rows: circulant_det(rows, n)
+    return "circulant", lambda rows: abelian_measure(params, rows)
 
 
 def _character_route(moduli):
     return "character-product", lambda rows: abelian_measure(moduli, rows)
-
-
-def _product_route(params):
-    # character products need (Z_p)^n; other products of cyclics use Cayley
-    if is_prime(params[0]) and all(n == params[0] for n in params):
-        return _character_route(params)
-    check_oracle_order(math.prod(params))
-    g = build_group("product", *params)
-    return _per_row("cayley", lambda c: group_determinant(GroupRingElt(g, c)))
 
 
 def _heisenberg_route(params):
@@ -307,7 +290,7 @@ KINDS = {
     "dicyclic": GroupKind(("order",), lambda ps: (ps[0] // 2, 2), _check_dicyclic,
                           _dicyclic_mul, _dicyclic_route, first_fastest=True),
     "product": GroupKind(("orders",), tuple, lambda ps: _check_factors(tuple(ps)),
-                         _add_labels, _product_route, variadic=True),
+                         _add_labels, _character_route, variadic=True),
 }
 
 

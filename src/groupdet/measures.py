@@ -1,19 +1,25 @@
 """Factorized exact group determinants, by evaluation at roots of unity.
 
 Each fast route is a product of determinants whose entries are integer
-polynomials at N-th roots of unity, and one engine, ``_at_roots``,
-computes it for a chunk of coefficient rows at once.  Modulo primes
-q = 1 (mod N) an element of order N stands in for the complex root: the
-rows are reduced, evaluated by one int64 product with its powers, and
+polynomials at roots of unity, and one engine, ``_at_roots``, computes it
+for a chunk of coefficient rows at once.  Modulo primes q = 1 (mod N) an
+element w of order N stands in for the complex root: the rows are
+reduced, evaluated by one int64 product with the powers of w, and
 multiplied out, and ``exactdet.crt_values`` recovers each value past a
 bound that the caller supplies and checks it against one further prime.
+A polynomial lives on the labels of a product of cyclic groups Z_n1 x ...
+x Z_nk, and each character of that group sends a label to a power of w,
+N = lcm(n_i), read from the exponent matrix ``_exponents``.
 
-* ``circulant_det``, ``dihedral_measure`` and ``dicyclic_measure``, for
-  the cyclic, dihedral and dicyclic groups: one value at each root, under
-  twice the Hadamard bound of the Cayley matrix.
-* ``abelian_measure``, for (Z_p)^n: one value per character, each a
-  length-p exponent accumulator evaluated at a p-th root w;
-  ``char_product_2d`` places a Z_p x Z_p coefficient grid for it.
+* ``abelian_measure``, for every product of cyclic groups: the product of
+  the character values.  Over (Z_p)^n with n >= 2 each value is a
+  length-p exponent accumulator evaluated at one p-th root w, under the
+  accumulator bound below; every other product, Z_n included, is
+  evaluated at each character directly, under twice the Hadamard bound of
+  the Cayley matrix.  ``char_product_2d`` places a Z_p x Z_p coefficient
+  grid for it.
+* ``dihedral_measure`` and ``dicyclic_measure``: one value at each root
+  of a two-part row [f, g], under twice the Hadamard bound.
 * ``heisenberg_factorizations``, for the order-p^3 Heisenberg group on
   the flat label-order vectors of ``KINDS["heisenberg"].flat_coeffs``:
   M = M1 * M2^p with M1 the character product of F(x, y, 1) and M2 the
@@ -108,28 +114,49 @@ def _prod_mod(v, q):
     return v[:, 0]
 
 
-def _at_roots(x, parts: int, length: int, order: int, ks, factor, bound_sq: int) -> list:
+@lru_cache(maxsize=4)
+def _exponents(moduli: tuple):
+    """E[g, c] = sum_i g_i c_i L / n_i mod L for labels g and c of the
+    product of cyclic groups with the moduli n_i, in label order (the
+    last exponent fastest), and L = lcm(n_i): character c sends label g
+    to w^E[g, c] for w of order L.  A (|G|, |G|) index array, 33 MB at
+    the largest length the engine takes, so few are kept."""
+    big = math.lcm(*moduli)
+    e = np.zeros((1, 1), dtype=np.intp)
+    for n in moduli:
+        k = np.arange(n, dtype=np.intp)
+        e = (e[:, None, :, None] + np.outer(k, k)[:, None, :] * (big // n)) % big
+        e = e.reshape(len(e) * n, -1)
+    return e
+
+
+def _at_roots(x, parts: int, moduli, columns, factor, bound_sq: int) -> list:
     """Exact values of the rows of x, as a list of ints, each of absolute
     value at most sqrt(bound_sq).
 
     Each row of x, an exact (B, parts * length) array from
-    ``_exact_rows``, is ``parts`` polynomials of ``length`` coefficients.
-    For each prime q of ``modular_primes(bound_sq, order)``, e[b, j, i] is
-    polynomial j of row b at w^ks[i] modulo q, for w of the given order,
-    and the value of row b modulo q is the product of the entries of
-    factor(e, q)[b].  Passes take as many primes at once as keep their
-    arrays near _ROOT_CELLS cells, stacked along the first axis of e, with
-    q the matching (rows, 1, 1) column of primes.  The matrix product sums
-    ``length`` products of residues below 2^26, so lengths from 2048 on,
-    where that sum could pass 2^63, raise InvalidParameter.
+    ``_exact_rows``, is ``parts`` polynomials on the ``length`` labels of
+    the product of cyclic groups with these moduli.  For each prime q of
+    ``modular_primes(bound_sq, L)``, L = lcm(moduli), e[b, j, i] is
+    polynomial j of row b at the character ``columns``[i] of
+    ``_exponents(moduli)`` modulo q, and the value of row b modulo q is
+    the product of the entries of factor(e, q)[b].  Passes take as many
+    primes at once as keep their arrays, the gathered (length, characters)
+    powers of w among them, near _ROOT_CELLS cells, stacked along the
+    first axis of e, with q the matching (rows, 1, 1) column of primes.
+    The matrix product sums ``length`` products of residues below 2^26,
+    so lengths from 2048 on, where that sum could pass 2^63, raise
+    InvalidParameter.
     """
+    length = math.prod(moduli)
     if length * _PRIME_BOUND ** 2 >= 1 << 63:
         raise InvalidParameter(f"{length} coefficients are too many for int64 evaluation")
     if not len(x):
         return []
+    order = math.lcm(*moduli)
+    at = _exponents(tuple(moduli))[:, columns]
     primes, modulus = modular_primes(bound_sq, order)
-    at = np.outer(np.arange(length), ks) % order
-    per = max(1, _ROOT_CELLS // (x.size + len(x) * parts * len(ks)))
+    per = max(1, _ROOT_CELLS // (x.size + (len(x) * parts + length) * at.shape[1]))
     residues = []
     for i in range(0, len(primes), per):
         batch = primes[i:i + per]
@@ -184,25 +211,29 @@ def _characters(a, p: int, n: int) -> list:
     # the product of the character values of each row of an exact chunk
     acc = _character_sums(a, p, n)
     bound = _max_prod(_spread(acc))
-    return _at_roots(acc.reshape(len(a), -1), p ** n, p, p, [1], lambda e, q: e[:, :, 0],
-                     bound * bound)
+    return _at_roots(acc.reshape(len(a), -1), p ** n, (p,), slice(1, 2),
+                     lambda e, q: e[:, :, 0], bound * bound)
 
 
 def abelian_measure(moduli, block) -> list:
     """Group determinant over the product of cyclic groups with these
     moduli for each row of a (B, |G|) block of coefficient vectors, in
     the label order of ``GroupKind.labels`` (``itertools.product``, last
-    exponent fastest): the product of its p^n character values.
+    exponent fastest): the product of its |G| character values.
 
-    Requires every factor of the group to be the same prime p (this is
-    the only abelian shape the rest of the package needs exactly).
+    Over (Z_p)^n with n >= 2 a character value is an exponent accumulator
+    at one p-th root, under the accumulator bound.  Every other product,
+    Z_n included, is evaluated at each character directly, under twice
+    the Hadamard bound of the Cayley matrix.
     """
+    moduli = tuple(moduli)
+    if not moduli or min(moduli) < 1:
+        raise InvalidParameter(f"need cyclic factors of order at least 1, got {moduli}")
     p, n = moduli[0], len(moduli)
-    if not (is_prime(p) and all(m == p for m in moduli)):
-        raise InvalidParameter(
-            f"character products need all factors equal to one prime, got {tuple(moduli)}")
-    a = _exact_rows(block, p ** n, 2 * p ** n)
-    return _chunked(lambda c: _characters(c, p, n), a, p ** (n + 2))
+    if n >= 2 and is_prime(p) and moduli.count(p) == n:
+        a = _exact_rows(block, p ** n, 2 * p ** n)
+        return _chunked(lambda c: _characters(c, p, n), a, p ** (n + 2))
+    return _direct(block, 1, moduli, lambda e, q: e[:, 0])
 
 
 def char_product_2d(coeffs2d, p: int) -> int:
@@ -254,7 +285,7 @@ def _heisenberg_chunk(a, p: int) -> list:
         blocks = np.moveaxis(e.reshape(-1, p, p, p - 1), 3, 1).reshape(-1, p, p)
         return np.array(_det_mod(blocks, np.repeat(q.ravel(), p - 1)), dtype=np.int64)
 
-    m2 = _at_roots(acc.reshape(b, -1), p * p, p, p, np.arange(1, p), factor, bound_sq)
+    m2 = _at_roots(acc.reshape(b, -1), p * p, (p,), slice(1, p), factor, bound_sq)
     return list(zip(m1, m2))
 
 
@@ -302,24 +333,25 @@ def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorizati
     ys = grids.sum(axis=2)
     at_one = sum(abs(s) ** p for s in ys.sum(axis=1).tolist())
     bound = at_one * sum(b ** p for b in _spread(ys).tolist()) ** (p - 1)
-    m1, = _at_roots(ys.reshape(1, -1), 2, p, p, np.arange(p),
+    m1, = _at_roots(ys.reshape(1, -1), 2, (p,), slice(None),
                     lambda e, q: _pow_mod(e[:, 0], p, q[:, 0]) + _pow_mod(e[:, 1], p, q[:, 0]),
                     bound * bound)
     # m2: f(w^(i j), w^j) is the accumulator of f(w^i, w) at w^j
     shift, g = _shift_index(p)
     acc = grids[:, g, shift].sum(axis=-1)  # (f0 | fk, i, e)
     bound = sum(math.prod(b) for b in _spread(acc).tolist())
-    m2, = _at_roots(acc.reshape(1, -1), 2 * p, p, p, np.arange(1, p),
+    m2, = _at_roots(acc.reshape(1, -1), 2 * p, (p,), slice(1, p),
                     lambda e, q: _prod_mod(e[:, :p], q) + _prod_mod(e[:, p:], q),
                     bound ** (2 * (p - 1)))
     return HeisenbergFactorization(p=p, m1=m1, m2=m2, m=m1 * m2 ** p)
 
 
-# -- circulants by evaluation at roots of unity ------------------------------
+# -- evaluation at every character ------------------------------------------
 #
-# The cyclic, dihedral and dicyclic values are products over N-th roots of
-# unity: prod_k h(w^k) for a circulant, and for F = f + y g over a dihedral
-# or dicyclic group a product of f(w^k) f(w^-k) -+ g(w^k) g(w^-k).  Their
+# The direct abelian, dihedral and dicyclic values are products over the
+# characters of an abelian group: prod_c h(c) for a product of cyclic
+# groups, and for F = f + y g over a dihedral or dicyclic group a product
+# over N-th roots of unity of f(w^k) f(w^-k) -+ g(w^k) g(w^-k).  Their
 # bound is twice the Hadamard bound (sum c^2)^(|G| / 2) of the Cayley
 # matrix, every row of which is a signed permutation of the row's |G|
 # coefficients c.
@@ -334,22 +366,13 @@ def _hadamard_sq(x) -> int:
     return norm ** x.shape[1]
 
 
-def _circulant_family(block, parts: int, length: int, order: int, ks, factor) -> list:
-    a = _exact_rows(block, parts * length)
-    return _chunked(lambda c: _at_roots(c, parts, length, order, ks, factor, _hadamard_sq(c)),
-                    a, parts * length)
-
-
-def circulant_det(block, n: int, sign: int = 1) -> list:
-    """Determinant of multiplication by h(x) modulo x^n - sign for each row
-    h of a (B, n) block: the n x n circulant with first column h for
-    sign 1, the product of h over the n-th roots of unity, and the
-    negacirculant for sign -1, the product over the odd powers of a
-    2n-th root."""
-    if n < 1 or sign not in (1, -1):
-        raise InvalidParameter(f"need n >= 1 and sign 1 or -1, got {n} and {sign}")
-    ks = np.arange(n) if sign == 1 else np.arange(1, 2 * n, 2)
-    return _circulant_family(block, 1, n, n if sign == 1 else 2 * n, ks, lambda e, q: e[:, 0])
+def _direct(block, parts: int, moduli, factor) -> list:
+    # rows of ``parts`` polynomials on the labels of the product with these
+    # moduli, evaluated at every character
+    width = parts * math.prod(moduli)
+    a = _exact_rows(block, width)
+    return _chunked(lambda c: _at_roots(c, parts, moduli, slice(None), factor, _hadamard_sq(c)),
+                    a, width)
 
 
 def _two_part(block, length: int, sign) -> list:
@@ -361,7 +384,7 @@ def _two_part(block, length: int, sign) -> list:
         f, g = e[:, 0], e[:, 1]
         return f * f[:, neg] - sign * (g * g[:, neg] % q[:, 0])
 
-    return _circulant_family(block, 2, length, length, np.arange(length), factor)
+    return _direct(block, 2, (length,), factor)
 
 
 def dihedral_measure(block, n: int) -> list:

@@ -5,20 +5,20 @@ group attains at a given coefficient height, track the minimum
 nontrivial absolute value and a witness, and estimate the growth
 constant log(min)/|G|.  Rows reach the route evaluator as (B, |G|)
 blocks of at most CHUNK_ROWS rows, int64 unless the height is past it,
-so memory does not grow with the trials; the p = 3 Heisenberg, cyclic,
-dihedral and dicyclic evaluators take each block in int64 kernels.  One
-collector takes each block's values: the first max_values distinct
-values met, a count of each later meeting with a value it left out, and
-the witness.  Random trials are drawn a block at a time, bit for bit
-the per-trial Random(f"{seed}:{t}") stream (see "random trials" below).
-The witness depends on the order of work.  Exhaustive work is split into
-shards by the first coefficient, in increasing order; each shard walks
-the rest in lexicographic order and keeps the first vector of smallest
-|m| >= 2, and the merge keeps the least (|m|, m, vector), so a tie in
-|m| goes to the negative value.  A random search keeps the first such
-trial.  Order-8 dihedral searches pair value classes, with the witness
-the shards and merge would keep, and count those pairs against the
-budget.
+so memory does not grow with the trials; every evaluator takes a whole
+block at once.  One collector takes each block's values: the first
+max_values distinct values met, a count of each later meeting with a
+value it left out, and the witness.  Random trials are drawn a block at
+a time, bit for bit the per-trial Random(f"{seed}:{t}") stream (see
+"random trials" below).  The witness depends on the order of work.
+Exhaustive work is split into shards by the first coefficient, in
+increasing order, which feed the one collector in turn, so its values
+and count are those of the lexicographic walk; each shard keeps the
+first vector of smallest |m| >= 2, and the search the least
+(|m|, m, vector) of those, so a tie in |m| goes to the negative value.
+A random search keeps the first such trial.  Order-8 dihedral searches
+pair value classes, with the witness the shards would keep, and count
+those pairs against the budget.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class SearchResult:
 
 
 class _Collector:
-    """Merge-friendly accumulator for one shard of a search, fed a block
-    of rows and their values at a time."""
+    """Accumulator for a search, fed a block of rows and their values at
+    a time."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -159,20 +159,6 @@ class _Collector:
             if self.best is None or size[i] < self.best[0]:
                 self.best = (int(size[i]), int(values[i]), tuple(rows[at[i]].tolist()))
 
-    def merge(self, other: "_Collector") -> None:
-        """Take a later shard as if its rows followed: its kept values join
-        in the order it met them, while there is room."""
-        self.evaluations += other.evaluations
-        self.truncated += other.truncated
-        for v in other.values:
-            if v not in self.values:
-                if len(self.values) < self.cfg.max_values:
-                    self.values[v] = None
-                else:
-                    self.truncated += 1
-        if other.best is not None and (self.best is None or other.best < self.best):
-            self.best = other.best
-
 
 def _int_array(values):
     # int64 where every value and its absolute value fit, else Python ints
@@ -207,10 +193,17 @@ def _shard_blocks(h: int, order: int, first_coeff: int):
         yield block
 
 
-def run_shard(cfg: SearchConfig, first_coeff: int) -> _Collector:
-    """Exhaustively evaluate the shard with the leading coefficient fixed."""
+def run_shard(cfg: SearchConfig, first_coeff: int, col: _Collector) -> _Collector:
+    """Exhaustively evaluate the shard with the leading coefficient fixed,
+    into ``col`` as if its rows followed the ones ``col`` has taken.  The
+    shard's witness is its own first row of smallest |m| >= 2, and ``col``
+    keeps the least (|m|, m, vector) of that and its earlier witness."""
+    best, col.best = col.best, None
     order = kind_of(cfg.kind).order(cfg.params)
-    return _collect(cfg, _shard_blocks(cfg.height, order, first_coeff), _Collector(cfg))
+    _collect(cfg, _shard_blocks(cfg.height, order, first_coeff), col)
+    if best is not None and (col.best is None or best < col.best):
+        col.best = best
+    return col
 
 
 # -- random trials -----------------------------------------------------------
@@ -287,7 +280,7 @@ def _random_blocks(seed: int, trials: int, order: int, h: int):
 
 
 def enumerate_values(cfg: SearchConfig) -> SearchResult:
-    """Run the configured search and merge shard results."""
+    """Run the configured search: the shards in turn, or the random trials."""
     kind = kind_of(cfg.kind)
     order = kind.order(cfg.params)
     h = cfg.height
@@ -304,7 +297,7 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
                 f"(2*{h}+1)^{order} = {count} matrix evaluations exceed the "
                 f"budget {budget}; raise GDET_BUDGET or shrink the search")
         for c0 in range(-h, h + 1):
-            total.merge(run_shard(cfg, c0))
+            run_shard(cfg, c0, total)
     elif cfg.mode == "random":
         _collect(cfg, _random_blocks(cfg.seed, cfg.trials, order, h), total)
     else:
@@ -392,7 +385,7 @@ def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
         firsts = {}  # shard -> (m, f first, g first) of its first vector of smallest |m|
         for i, j, m, shard in sorted(hits):
             firsts.setdefault(shard, (m, i, j))
-        m, i, j = min(firsts.values())  # as the merge of the shards keeps
+        m, i, j = min(firsts.values())  # as the exhaustive walk of the shards keeps
         vector = np.concatenate([np.unravel_index(i, (side,) * 4), np.unravel_index(j, (side,) * 4)])
         col.best = (abs(m), m, tuple((vector - h).tolist()))
     return _result_from_collector(cfg, col, "class-pairs")

@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import InexactDivision, InvalidParameter, PreconditionViolated
 from .exactdet import is_prime
 from .groups import KINDS
-from .measures import char_product_2d, circulant_det, heisenberg_measure, measure_h3
+from .measures import abelian_measure, char_product_2d, heisenberg_measure, measure_h3
 from .polyring import pow_fold_cyclic
 
 
@@ -325,7 +325,7 @@ def check_power_sum_congruence(f_coeffs, p: int) -> bool:
     for i, c in enumerate(f_coeffs):
         folded[i % p] += int(c)
     mean = pow_fold_cyclic(folded, p, p)[0]
-    prod = circulant_det([folded], p)[0]
+    prod = abelian_measure((p,), [folded])[0]
     return (mean - prod) % (p * p) == 0
 
 

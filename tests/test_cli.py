@@ -244,8 +244,8 @@ def test_search_exhaustive_report(capsys):
 
 
 def test_search_mixed_product_matches_oracle(capsys):
-    # Z_2 x Z_3 has no character-product shortcut; the search takes the
-    # same Cayley route as compute
+    # Z_2 x Z_3 is not (Z_p)^n: the search evaluates every character
+    # directly, the route compute takes
     code, rep = run_report(capsys, "search", "--group", "product:2,3",
                            "--height", "1")
     assert code == 0
@@ -265,7 +265,7 @@ def test_search_filter_uses_the_base_prime_compute_reports(capsys, tmp_path):
                       [{"exps": [0, 0], "coef": 1}, {"exps": [1, 1], "coef": 1}])
     code, rep = run_report(capsys, "compute", path)
     assert code == 0
-    assert rep["results"]["route"] == "cayley"
+    assert rep["results"]["route"] == "character-product"
     assert rep["results"]["base_prime"] == 2
     code, rep = run_report(capsys, "search", "--group", "product:3,2",
                            "--height", "1", "--filter", "coprime")
@@ -409,6 +409,8 @@ def test_heisenberg_compute_builds_no_cayley_table(capsys, tmp_path):
     ({"kind": "dicyclic", "order": 32}, list(product(range(16), range(2))), "two-part"),
     ({"kind": "elementary", "p": 3, "n": 2}, list(product(range(3), repeat=2)),
      "character-product"),
+    ({"kind": "product", "orders": [2, 3]}, list(product(range(2), range(3))),
+     "character-product"),
 ])
 def test_table_free_routes_build_no_cayley_table(capsys, tmp_path, group, labels, route):
     rng = random.Random(3)
@@ -428,6 +430,7 @@ def test_table_free_routes_build_no_cayley_table(capsys, tmp_path, group, labels
     ("--group", "heisenberg:3", "--height", "2", "--trials", "200", "--seed", "5"),
     ("--group", "dihedral:8", "--height", "1"),
     ("--group", "cyclic:5", "--height", "1"),
+    ("--group", "product:2,3", "--height", "1"),
 ])
 def test_search_builds_no_cayley_table(capsys, argv):
     _cached_group.cache_clear()
@@ -437,13 +440,28 @@ def test_search_builds_no_cayley_table(capsys, argv):
     assert _cached_group.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("cmd", ["compute", "oracle"])
-def test_oracle_cap_checked_before_building_the_table(capsys, tmp_path, cmd):
-    path = write_poly(tmp_path, "big.json", {"kind": "product", "orders": [2, 400]},
+def _past_the_oracle_cap(tmp_path):
+    return write_poly(tmp_path, "big.json", {"kind": "product", "orders": [2, 400]},
                       [{"exps": [1, 3], "coef": 2}, {"exps": [0, 0], "coef": 1}])
+
+
+@pytest.mark.parametrize("cmd", ["oracle"])
+def test_oracle_cap_checked_before_building_the_table(capsys, tmp_path, cmd):
+    path = _past_the_oracle_cap(tmp_path)
     _cached_group.cache_clear()
     code, out, err = run_cli(capsys, cmd, path)
     assert (code, out, err) == (2, "", "error: oracle path is capped at order 300; got 800\n")
+    assert _cached_group.cache_info().currsize == 0
+
+
+def test_compute_past_the_oracle_cap_builds_no_table(capsys, tmp_path):
+    # F = 1 + 2g with g = (1, 3) of order 400: the product of 1 + 2z over
+    # the 400th roots of unity z, each twice, is (1 - 2^400)^2
+    _cached_group.cache_clear()
+    code, rep = run_report(capsys, "compute", _past_the_oracle_cap(tmp_path))
+    assert code == 0
+    assert rep["results"]["route"] == "character-product"
+    assert rep["results"]["m"] == str((2 ** 400 - 1) ** 2)
     assert _cached_group.cache_info().currsize == 0
 
 
@@ -534,10 +552,10 @@ def test_failed_residue_certificate_exits_1(capsys, monkeypatch):
 def test_unexpected_exception_exits_3(capsys, tmp_path, monkeypatch):
     import groupdet.groups
 
-    def broken(h, n):
+    def broken(moduli, rows):
         raise RuntimeError("route broke")
 
-    monkeypatch.setattr(groupdet.groups, "circulant_det", broken)
+    monkeypatch.setattr(groupdet.groups, "abelian_measure", broken)
     path = write_poly(tmp_path, "cyc.json", {"kind": "cyclic", "n": 3},
                       [{"exps": [0], "coef": 2}, {"exps": [1], "coef": 1}])
     code, out, err = run_cli(capsys, "compute", path)
@@ -649,6 +667,13 @@ def _elementary_input(tmp_path):
                        for i in range(3) for j in range(3) for k in range(3)])
 
 
+def _product_input(tmp_path):
+    rng = random.Random(43)
+    return write_poly(tmp_path, "p235.json", {"kind": "product", "orders": [2, 3, 5]},
+                      [{"exps": list(e), "coef": rng.randint(-2, 2)}
+                       for e in product(range(2), range(3), range(5))])
+
+
 def _exit_under_python_O(command, path, patch):
     script = (
         "import sys\n"
@@ -675,10 +700,10 @@ def test_check_prime_failure_exits_1_under_python_O(tmp_path):
                          "exactdet._det_mod = _sabotage_check_prime(exactdet)")
 
 
-@pytest.mark.parametrize("make_input", [_heisenberg_input, _elementary_input],
-                         ids=["heisenberg", "elementary"])
+@pytest.mark.parametrize("make_input", [_heisenberg_input, _elementary_input, _product_input],
+                         ids=["heisenberg", "elementary", "product"])
 def test_roots_check_prime_failure_exits_1_under_python_O(tmp_path, make_input):
     # the engine's certificate is an explicit raise too: compute on a
-    # Heisenberg p = 5 and an elementary abelian input
+    # Heisenberg p = 5, an elementary abelian and a mixed product input
     _exit_under_python_O("compute", make_input(tmp_path),
                          "measures.crt_values = _sabotage_check_residue(measures)")

@@ -1,5 +1,6 @@
-"""Bareiss determinant: cofactor oracle, algebraic identities, entry rings;
-the multimodular integer determinant against Bareiss; the primality test."""
+"""The multimodular integer determinant: cofactor oracle, algebraic
+identities, and agreement with a test-local Bareiss elimination over Z at
+every size; the primality test."""
 
 import random
 from itertools import islice
@@ -7,10 +8,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from groupdet import GroupDetError, InexactDivision, det_bareiss, det_int, is_prime
+from groupdet import GroupDetError, det_int, is_prime
 from groupdet import exactdet
 from groupdet.errors import InvalidParameter
-from groupdet.exactdet import MULTIMODULAR_CUTOFF
 
 
 def _det_cofactor(rows):
@@ -28,6 +28,28 @@ def _det_cofactor(rows):
     return total
 
 
+def _bareiss(rows):
+    """Bareiss elimination over Z, an independent reference for det_int:
+    every interior division is exact by the Sylvester identity."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j], r = divmod(num, prev)
+                if r:
+                    raise ArithmeticError(f"{num} is not divisible by {prev}")
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def _random_matrix(rng, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
@@ -37,7 +59,7 @@ def test_against_cofactor_expansion():
     for _ in range(500):
         n = rng.randint(1, 6)
         m = _random_matrix(rng, n)
-        assert det_bareiss(m) == _det_cofactor(m)
+        assert det_int(m) == _det_cofactor(m)
 
 
 def test_permutation_matrix_gives_sign():
@@ -50,7 +72,7 @@ def test_permutation_matrix_gives_sign():
         # count inversions for the expected sign
         inv = sum(1 for i in range(n) for j in range(i + 1, n)
                   if perm[i] > perm[j])
-        assert det_bareiss(m) == (-1) ** inv
+        assert det_int(m) == (-1) ** inv
 
 
 def test_row_scaling_scales_determinant():
@@ -58,12 +80,12 @@ def test_row_scaling_scales_determinant():
     for _ in range(40):
         n = rng.randint(2, 5)
         m = _random_matrix(rng, n)
-        d = det_bareiss(m)
+        d = det_int(m)
         c = rng.choice([-3, -1, 2, 5])
         k = rng.randrange(n)
         scaled = [row[:] for row in m]
         scaled[k] = [c * x for x in scaled[k]]
-        assert det_bareiss(scaled) == c * d
+        assert det_int(scaled) == c * d
 
 
 def test_row_swap_flips_sign():
@@ -74,30 +96,29 @@ def test_row_swap_flips_sign():
         i, j = rng.sample(range(n), 2)
         swapped = [row[:] for row in m]
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert det_bareiss(swapped) == -det_bareiss(m)
+        assert det_int(swapped) == -det_int(m)
 
 
 def test_zero_column_short_circuits_to_zero():
     m = [[1, 0, 2], [3, 0, 4], [5, 0, 6]]
-    assert det_bareiss(m) == 0
+    assert det_int(m) == 0
 
 
 def test_singular_after_elimination():
     # rank-1 matrix: zero determinant discovered mid-elimination
     m = [[i * j for j in range(1, 5)] for i in range(1, 5)]
-    assert det_bareiss(m) == 0
+    assert det_int(m) == 0
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        det_bareiss([])
+        det_int([])
     with pytest.raises(ValueError):
-        det_bareiss([[1, 2], [3]])
+        det_int([[1, 2], [3]])
 
 
 def test_large_matrix_known_determinant():
-    # L (unit lower) times U (upper) has determinant prod(diag(U));
-    # n = 14 exercises the big-integer conversion path.
+    # L (unit lower) times U (upper) has determinant prod(diag(U))
     rng = random.Random(31)
     n = 14
     lower = [[rng.randint(-4, 4) if j < i else (1 if i == j else 0)
@@ -110,8 +131,8 @@ def test_large_matrix_known_determinant():
     expect = 1
     for d in diag:
         expect *= d
-    assert det_bareiss(prod) == expect
-    assert isinstance(det_bareiss(prod), int)
+    assert det_int(prod) == expect
+    assert isinstance(det_int(prod), int)
 
 
 @pytest.mark.parametrize("count", [5, 300])
@@ -124,35 +145,6 @@ def test_inverse_mod_on_both_sides_of_its_cutoff(count):
     got = exactdet._inverse_mod(v, q).tolist()
     assert got[0] == 0
     assert got[1:] == [pow(int(x), -1, int(m)) for x, m in zip(v[1:], q[1:])]
-
-
-def test_inexact_division_is_reported():
-    class Stub:
-        """Integer-like entries whose division refuses to be exact."""
-
-        def __init__(self, v):
-            self.v = v
-
-        def __mul__(self, o):
-            return Stub(self.v * o.v)
-
-        def __sub__(self, o):
-            return Stub(self.v - o.v)
-
-        def __neg__(self):
-            return Stub(-self.v)
-
-        def __bool__(self):
-            return bool(self.v)
-
-        def __divmod__(self, o):
-            return Stub(0), Stub(1)  # always claim a remainder
-
-    m = [[Stub(2), Stub(3), Stub(1)],
-         [Stub(4), Stub(1), Stub(2)],
-         [Stub(5), Stub(2), Stub(2)]]
-    with pytest.raises(InexactDivision):
-        det_bareiss(m)
 
 
 def test_heisenberg_cayley_27x27_family_value():
@@ -168,7 +160,7 @@ def test_heisenberg_cayley_27x27_family_value():
     assert group_determinant(GroupRingElt(g, poly0)) == 0
 
 
-# -- det_int: Bareiss below the cutoff, certified multimodular above ------
+# -- det_int against Bareiss, and its certificate -----------------------------
 
 
 def _trial_division(n):
@@ -197,11 +189,11 @@ def _first_prime():
     return _first_primes(1)[0]
 
 
-@pytest.mark.parametrize("n", [1, 2, MULTIMODULAR_CUTOFF - 1, MULTIMODULAR_CUTOFF, 64, 125])
+@pytest.mark.parametrize("n", [1, 2, 8, 31, 32, 64, 125])
 def test_det_int_equals_bareiss(n):
     rng = random.Random(4000 + n)
     m = _random_matrix(rng, n)
-    d = det_bareiss(m)
+    d = _bareiss(m)
     assert d and det_int(m) == d
     assert isinstance(det_int(m), int)
     if n > 1:
@@ -220,19 +212,19 @@ def test_det_int_equals_bareiss(n):
         assert det_int(deficient) == 0
 
 
-@pytest.mark.parametrize("n", [MULTIMODULAR_CUTOFF, 64])
+@pytest.mark.parametrize("n", [32, 64])
 def test_det_int_hard_cases(n):
     rng = random.Random(5000 + n)
     q = _first_prime()
     m = _random_matrix(rng, n)
-    d = det_bareiss(m)
+    d = _bareiss(m)
     # a determinant divisible by the first prime used
     scaled = [[q * a for a in m[0]], *m[1:]]
     assert det_int(scaled) == q * d
     # a pivot that vanishes modulo the first prime only
     vanishing = [row[:] for row in m]
     vanishing[0][0] = q
-    assert det_int(vanishing) == det_bareiss(vanishing)
+    assert det_int(vanishing) == _bareiss(vanishing)
     # entries above 2^63: a row operation keeps the determinant
     big = [m[0], [a + (2 ** 80 + 7) * b for a, b in zip(m[1], m[0])], *m[2:]]
     assert max(abs(a) for a in big[1]) > 2 ** 63
@@ -246,7 +238,7 @@ def test_det_int_bound_leaves_room_for_the_sign():
     # product of three primes, three primes cover |det| but not its sign
     q1, q2, q3 = _first_primes(3)
     d = q1 * q2 * q3 // 2 + 1
-    n = MULTIMODULAR_CUTOFF
+    n = 8
     for v in (d, -d):
         m = [[v if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
         assert det_int(m) == v
@@ -260,7 +252,7 @@ def test_det_int_check_prime_catches_a_wrong_residue(monkeypatch):
         return res[:-1] + [(res[-1] + 1) % primes[-1]]
 
     monkeypatch.setattr(exactdet, "_det_mod", sabotaged)
-    m = _random_matrix(random.Random(6000), MULTIMODULAR_CUTOFF)
+    m = _random_matrix(random.Random(6000), 8)
     with pytest.raises(GroupDetError, match="fails its check"):
         det_int(m)
 
@@ -277,4 +269,4 @@ def test_det_int_shape_validation():
     with pytest.raises(ValueError):
         det_int([])
     with pytest.raises(ValueError):
-        det_int([[1] * MULTIMODULAR_CUTOFF] * (MULTIMODULAR_CUTOFF - 1) + [[1]])
+        det_int([[1] * 32] * 31 + [[1]])

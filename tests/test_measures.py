@@ -9,9 +9,9 @@ the honest n x n matrix and eliminates.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
-import cmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,6 @@ from groupdet import (
     NotInteger,
     abelian_measure,
     char_product_2d,
-    circulant_det,
     dicyclic_measure,
     dihedral_measure,
     group_determinant,
@@ -32,7 +31,7 @@ from groupdet import (
     heisenberg_measure,
     measure_h3,
 )
-from groupdet.exactdet import MULTIMODULAR_CUTOFF, det_int
+from groupdet.exactdet import det_int
 from groupdet.groups import KINDS, build_group, kind_of
 from groupdet.measures import H3_HEIGHT
 from groupdet.verify import achieve_construction, random_heisenberg_poly
@@ -75,6 +74,20 @@ def test_table_route_equals_oracle(kind, data):
     assert exact([coeffs]) == [group_determinant(GroupRingElt(g, coeffs))]
 
 
+def test_product_past_the_oracle_cap_equals_the_cyclic_route():
+    # Z_3 x Z_400 is Z_1200: label (a, b) is the residue k with k = a mod 3
+    # and k = b mod 400, so each row has the value of its relabelled circulant
+    rng = random.Random(76)
+    terms = [((rng.randrange(3), rng.randrange(400)), rng.choice([-1, 1])) for _ in range(4)]
+    rows = [KINDS["product"].flat_coeffs((3, 400), terms),
+            KINDS["product"].flat_coeffs((3, 400), [((0, 0), 2), ((1, 7), 1)])]
+    relabelled = [[r[(k % 3) * 400 + k % 400] for k in range(1200)] for r in rows]
+    got = kind_of("product").route((3, 400))[1](rows)
+    assert got == kind_of("cyclic").route((1200,))[1](relabelled)
+    # 2 + g with g of order 1200: the product of 2 + z over the 1200th roots z
+    assert got[1] == 2 ** 1200 - 1
+
+
 # -- abelian character products --------------------------------------------
 
 
@@ -87,19 +100,17 @@ def test_cyclic_three_simple_value():
 
 
 @pytest.mark.parametrize("g", [build_group("cyclic", 3), build_group("cyclic", 5),
-                               build_group("elementary", 3, 2)])
+                               build_group("elementary", 3, 2), build_group("product", 2, 3),
+                               build_group("product", 4, 2), build_group("product", 6, 4),
+                               build_group("product", 2, 3, 5)])
 def test_abelian_measure_matches_oracle(g):
+    # (Z_p)^n with n >= 2 takes the accumulators, every other product
+    # direct evaluation at each character
     rng = random.Random(60 + g.order)
     for _ in range(30):
         f = _elt(
             g, [(e, rng.randint(-5, 5)) for e in g.element_exps])
         assert abelian_measure(g.moduli, [f.coeffs]) == [group_determinant(f)]
-
-
-def test_abelian_measure_rejects_mixed_orders():
-    from groupdet import InvalidParameter
-    with pytest.raises(InvalidParameter):
-        abelian_measure((2, 3), [[1, 0, 0, 0, 0, 0]])
 
 
 def test_abelian_measure_rejects_a_short_coefficient_vector():
@@ -112,13 +123,13 @@ def test_circulant_matches_oracle_composite_order():
     rng = random.Random(61)
     g = build_group("cyclic", 6)
     rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(20)]
-    assert circulant_det(rows, 6) == [group_determinant(GroupRingElt(g, h)) for h in rows]
+    assert abelian_measure((6,), rows) == [group_determinant(GroupRingElt(g, h)) for h in rows]
     # a row of another length is refused, not padded or folded
     for bad in ([1, 2, 3], [1], [2 ** 70, 1, 0]):
         with pytest.raises(InvalidParameter, match="need rows of 2 coefficients"):
-            circulant_det([bad], 2)
+            abelian_measure((2,), [bad])
     with pytest.raises(InvalidParameter, match="need rows of 2 coefficients"):
-        circulant_det([1, 2], 2)  # one row, not a chunk
+        abelian_measure((2,), [1, 2])  # one row, not a chunk
 
 
 # -- the order-p^3 block structure ------------------------------------------
@@ -332,7 +343,7 @@ def test_fourier_sum_is_the_circulant_value():
         cs = _fourier_coeffs(p, f)
         # F(x, 1, 1) coefficients
         h = [sum(f[i * p * p:(i + 1) * p * p]) for i in range(p)]
-        assert sum(cs) == circulant_det([h], p)[0]
+        assert sum(cs) == abelian_measure((p,), [h])[0]
 
 
 # -- dihedral / dicyclic -----------------------------------------------------
@@ -368,30 +379,13 @@ def test_dicyclic_matches_oracle(order):
 @pytest.mark.parametrize("kind,order", [("dihedral", 64), ("dihedral", 128),
                                         ("dicyclic", 128), ("dicyclic", 256)])
 def test_twisted_circulants_above_the_cutoff_match_oracle(kind, order):
-    # circulants (and for dicyclic, negacirculants) of n >= 32 rows, whose
-    # Cayley matrices take the multimodular elimination
-    n = order // (2 if kind == "dihedral" else 4)
-    assert n >= MULTIMODULAR_CUTOFF
+    # circulants (and for dicyclic, negacirculants) of 32 or more rows
     rng = random.Random(71 + order)
     coeffs = [rng.randint(-2, 2) for _ in range(order)]
     _, exact = kind_of(kind).route((order,))
     m = group_determinant(GroupRingElt(build_group(kind, order), coeffs))
     assert m != 0
     assert exact([coeffs]) == [m]
-
-
-def test_negacirculant_against_numeric_roots():
-    # det = prod of h(z) over the primitive 2n-th "odd" roots z of x^n = -1
-    rng = random.Random(69)
-    for n in (1, 2, 3, 4, 5, 8, 9):
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(10)]
-        for h, got in zip(rows, circulant_det(rows, n, -1)):
-            prod = 1 + 0j
-            for k in range(n):
-                z = cmath.exp(1j * math.pi * (2 * k + 1) / n)
-                prod *= sum(c * z ** i for i, c in enumerate(h))
-            assert got == round(prod.real)
-            assert abs(prod.imag) < 1e-6 * max(1.0, abs(prod.real))
 
 
 def test_two_part_rows_need_the_group_width():
@@ -402,10 +396,12 @@ def test_two_part_rows_need_the_group_width():
             dihedral_measure([bad], 2)
         with pytest.raises(InvalidParameter, match="need rows of 4 coefficients"):
             dicyclic_measure([bad], 1)
-    for call in (lambda: dihedral_measure([[]], 0), lambda: dicyclic_measure([[]], 0),
-                 lambda: circulant_det([[1]], 1, 2)):
+    for call in (lambda: dihedral_measure([[]], 0), lambda: dicyclic_measure([[]], 0)):
         with pytest.raises(InvalidParameter, match="need n >= 1"):
             call()
+    for moduli in ((), (2, 0)):
+        with pytest.raises(InvalidParameter, match="order at least 1"):
+            abelian_measure(moduli, [[]])
 
 
 # -- evaluation at roots of unity modulo primes ------------------------------
@@ -446,16 +442,16 @@ def test_value_divisible_by_the_first_prime():
     # cyclic n = 1: the value is the coefficient; n = 2: (a - b)(a + b)
     from groupdet.exactdet import modular_primes
     q1 = modular_primes(0, 1)[0][0]
-    assert circulant_det([[3 * q1], [-q1], [q1 * q1]], 1) == [3 * q1, -q1, q1 * q1]
+    assert abelian_measure((1,), [[3 * q1], [-q1], [q1 * q1]]) == [3 * q1, -q1, q1 * q1]
     q2 = modular_primes(0, 2)[0][0]
     a, b = (q2 + 1) // 2, (1 - q2) // 2
-    assert circulant_det([[a, b], [b, a]], 2) == [q2, -q2]
+    assert abelian_measure((2,), [[a, b], [b, a]]) == [q2, -q2]
 
 
 def test_chunk_mixes_small_rows_and_coefficients_past_int64():
     rows = [[1, 2, 3], [2 ** 70, 1, 0], [0, 0, 0], [-2 ** 70, 5, -7], [2, -1, 1]]
     g = build_group("cyclic", 3)
-    got = circulant_det(rows, 3)
+    got = abelian_measure((3,), rows)
     assert got == [group_determinant(GroupRingElt(g, r)) for r in rows]
     assert got[1] == 2 ** 210 + 1  # prod of (a + z) over the cube roots z: a^3 + 1
     two = [[2 ** 70, 0, 1, 1], [1, 2, 0, 1]]
@@ -473,12 +469,13 @@ def test_rows_split_into_passes_keep_their_values(monkeypatch):
     chars = [[rng.randint(-3, 3) for _ in range(25)] for _ in range(5)]
 
     def values():
-        return (circulant_det(rows, 12), dihedral_measure(rows, 6), dicyclic_measure(rows, 3),
+        return (abelian_measure((12,), rows), abelian_measure((3, 4), rows),
+                dihedral_measure(rows, 6), dicyclic_measure(rows, 3),
                 heisenberg_factorizations(5, heis), abelian_measure((5, 5), chars))
 
     expect = values()
-    # two or three circulant rows a pass, one row and one prime a pass for
-    # the character and Heisenberg routes
+    # two or one rows a chunk for the direct routes, one row for the
+    # character and Heisenberg routes, and one prime a pass
     monkeypatch.setattr(groupdet.measures, "_ROOT_CELLS", 30)
     assert values() == expect
 
@@ -494,7 +491,9 @@ def test_roots_check_prime_catches_a_wrong_residue(monkeypatch):
 
     monkeypatch.setattr(groupdet.measures, "crt_values", sabotaged)
     heis = _heisenberg_poly(5, [((0, 0, 0), 2), ((1, 2, 0), 1), ((0, 1, 3), -1)])
-    for call in (lambda: circulant_det([[1, 2, 3]], 3), lambda: dihedral_measure([[1, 2]], 1),
+    for call in (lambda: abelian_measure((3,), [[1, 2, 3]]),
+                 lambda: abelian_measure((2, 3), [[1, 2, 3, 0, 0, 1]]),
+                 lambda: dihedral_measure([[1, 2]], 1),
                  lambda: dicyclic_measure([[1, 2, 3, 4]], 1),
                  lambda: abelian_measure((3, 3), [[2, 1] + [0] * 7]),
                  lambda: heisenberg_measure(5, heis),
@@ -507,18 +506,39 @@ def test_roots_refuse_lengths_that_overflow_int64():
     # 2048 products of residues below 2^26 could pass 2^63; zero-stride
     # views, so nothing is allocated before the refusal
     zero = np.zeros(1, dtype=np.int64)
-    with pytest.raises(InvalidParameter, match="int64"):
-        circulant_det(np.broadcast_to(zero, (1, 2048)), 2048)
+    for moduli in ((2048,), (2, 1024)):
+        with pytest.raises(InvalidParameter, match="2048 coefficients .* int64"):
+            abelian_measure(moduli, np.broadcast_to(zero, (1, 2048)))
     with pytest.raises(InvalidParameter, match="int64"):
         dicyclic_measure(np.broadcast_to(zero, (1, 4096)), 1024)
+    # (Z_2)^11 takes the accumulators, whose length is 2
+    one = np.zeros((1, 2048), dtype=np.int64)
+    one[0, 0] = 1
+    assert abelian_measure((2,) * 11, one) == [1]
+
+
+def test_engine_memory_stays_bounded_on_a_dense_circulant():
+    # a pass of primes counts the (length, characters) powers it gathers:
+    # one dense height-3 row of Z_512 peaks near 8 MB, where passes sized
+    # without them stacked about 200 MB of gathered powers
+    _, exact = kind_of("cyclic").route((512,))
+    rng = random.Random(77)
+    row = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(512)]
+    tracemalloc.start()
+    try:
+        value, = exact([row])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value and peak < 32 << 20
 
 
 def test_roots_refuse_when_the_primes_run_out(monkeypatch):
     from groupdet import exactdet
     monkeypatch.setattr(exactdet, "_PRIME_BOUND", 200)  # ten primes 1 mod 5
-    assert circulant_det([[2, 1, 0, 0, 0]], 5) == [33]
+    assert abelian_measure((5,), [[2, 1, 0, 0, 0]]) == [33]
     with pytest.raises(InvalidParameter, match="cannot certify"):
-        circulant_det([[10 ** 6, 1, 2, 3, 4]], 5)
+        abelian_measure((5,), [[10 ** 6, 1, 2, 3, 4]])
 
 
 def test_root_of_unity_order_check_raises():
@@ -546,7 +566,8 @@ def test_batched_values_equal_one_row_values(data):
 def test_character_and_heisenberg_blocks_equal_one_row_values(data):
     kind, params = data.draw(st.sampled_from([
         ("elementary", (2, 3)), ("elementary", (3, 2)), ("elementary", (5, 2)),
-        ("heisenberg", (3,)), ("heisenberg", (5,))]), label="group")
+        ("product", (2, 3)), ("product", (4, 2)), ("heisenberg", (3,)),
+        ("heisenberg", (5,))]), label="group")
     _, exact = kind_of(kind).route(params)
     order = kind_of(kind).order(params)
     coeff = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))

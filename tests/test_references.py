@@ -53,3 +53,49 @@ def _unreferenced():
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert _unreferenced() == sorted(ALLOWED)
+
+
+# name -> the only definitions in the package that may refer to it: Cayley
+# tables and their determinant serve the oracle alone, never a route
+ORACLE_ONLY = {
+    "build_group": ["cli._cmd_oracle"],
+    "group_determinant": ["cli._cmd_oracle"],
+    "GroupRingElt": ["cli._cmd_oracle"],
+    "det_int": ["groups.group_determinant"],
+}
+
+
+def _annotations(tree):
+    # ids of the nodes inside type annotations, which call nothing
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            notes.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef) and node.returns:
+            notes.append(node.returns)
+    return {id(n) for note in notes for n in ast.walk(note)}
+
+
+def _referrers():
+    """name -> sorted "module.definition" of each top-level definition (or
+    "module.<module>" statement) that refers to it, outside annotations and
+    its own definition."""
+    root = Path(groupdet.__file__).parent
+    out = {name: set() for name in ORACLE_ONLY}
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        skip = _annotations(tree)
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name in out and name != where and id(node) not in skip:
+                    out[name].add(f"{path.stem}.{where}")
+    return {name: sorted(users) for name, users in out.items()}
+
+
+def test_only_the_oracle_builds_a_cayley_table():
+    assert _referrers() == ORACLE_ONLY

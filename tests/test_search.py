@@ -14,7 +14,7 @@ from groupdet import (
     BudgetExceeded,
     InvalidParameter,
     SearchConfig,
-    circulant_det,
+    abelian_measure,
     dihedral_measure,
     enumerate_values,
     evaluation_budget,
@@ -104,7 +104,7 @@ def test_shard_merge_matches_full_run():
     full = enumerate_values(cfg)
     acc = _Collector(cfg)
     for first in range(-2, 3):
-        acc.merge(run_shard(cfg, first))
+        run_shard(cfg, first, acc)
     assert acc.best is not None
     assert abs(acc.best[0]) == abs(full.min_nontrivial)
     assert set(acc.values) == set(full.attained_values)
@@ -267,17 +267,11 @@ def test_d8_class_pairs_match_brute_force(height, value_filter):
 @pytest.mark.parametrize("value_filter", ["coprime", "multiples"])
 def test_d8_class_pairs_match_generic_shards(value_filter):
     # the witness rule of a filtered search is the one the generic route
-    # gives: each shard's rows in one block through the collector, and
-    # the shards merged in increasing order
+    # gives: the shards in increasing order through one collector
     cfg = SearchConfig(kind="dihedral", params=(8,), height=1, value_filter=value_filter)
-    span = np.arange(-1, 2)
-    rest = np.stack(np.meshgrid(*[span] * 7, indexing="ij"), axis=-1).reshape(-1, 7)
     acc = _Collector(cfg)
     for first in (-1, 0, 1):
-        rows = np.concatenate([np.full((len(rest), 1), first), rest], axis=1)
-        shard = _Collector(cfg)
-        shard.add_block(rows, dihedral_measure(rows, 4))
-        acc.merge(shard)
+        run_shard(cfg, first, acc)
     res = enumerate_values(cfg)
     assert (res.evaluations, res.min_nontrivial) == (acc.evaluations, acc.best[1])
     assert res.witness == KINDS["dihedral"].terms((8,), acc.best[2])
@@ -393,38 +387,37 @@ def test_sampler_stream_property(seed, t, h, order):
 
 
 class _RowCollector:
-    """The collector restated one row at a time, in the order met."""
+    """The collector restated one row at a time, in the order met: every
+    row of the walk meets one value set, and each shard, opened by
+    ``new_shard``, keeps its own first row of smallest |m| >= 2."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.p = KINDS[cfg.kind].base_prime(cfg.params)
         self.values = {}  # in the order met
         self.truncated = self.evaluations = 0
-        self.best = None
+        self.firsts = [None]  # per shard: (|m|, m, coefficients) of its first smallest
 
-    def _note(self, m):
-        if m not in self.values:
-            if len(self.values) < self.cfg.max_values:
-                self.values[m] = None
-            else:
-                self.truncated += 1
+    def new_shard(self):
+        self.firsts.append(None)
+
+    @property
+    def best(self):
+        return min((b for b in self.firsts if b is not None), default=None)
 
     def add(self, m, coeffs):
         self.evaluations += 1
         keep = {"all": True, "coprime": m % self.p != 0,
                 "multiples": m % self.p == 0}[self.cfg.value_filter]
         if keep:
-            self._note(m)
-            if abs(m) >= 2 and (self.best is None or abs(m) < self.best[0]):
-                self.best = (abs(m), m, tuple(coeffs))
-
-    def merge(self, other):
-        self.evaluations += other.evaluations
-        self.truncated += other.truncated
-        for v in other.values:
-            self._note(v)
-        if other.best is not None and (self.best is None or other.best < self.best):
-            self.best = other.best
+            if m not in self.values:
+                if len(self.values) < self.cfg.max_values:
+                    self.values[m] = None
+                else:
+                    self.truncated += 1
+            first = self.firsts[-1]
+            if abs(m) >= 2 and (first is None or abs(m) < first[0]):
+                self.firsts[-1] = (abs(m), m, tuple(coeffs))
 
 
 def _reference_report(cfg):
@@ -445,7 +438,8 @@ def _reference_report(cfg):
     else:
         span = range(-h, h + 1)
         for c0 in span:
-            total.merge(feed(_RowCollector(cfg), [(c0,) + r for r in product(span, repeat=order - 1)]))
+            total.new_shard()
+            feed(total, [(c0,) + r for r in product(span, repeat=order - 1)])
     best = total.best or (None, None, None)
     batched = (cfg.kind, cfg.params) == ("heisenberg", (3,))
     res = SearchResult(config=cfg, route="batched" if batched else route,
@@ -482,14 +476,18 @@ def test_exhaustive_shards_keep_the_values_met_first():
     cfg = SearchConfig(kind="cyclic", params=(3,), height=2, max_values=18)
     report = enumerate_values(cfg).to_report(value_cap=10 ** 9)
     assert report == _reference_report(cfg)
-    walk = [circulant_det([r], 3)[0] for r in product(range(-2, 3), repeat=3)]
+    walk = [abelian_measure((3,), [r])[0] for r in product(range(-2, 3), repeat=3)]
     first = list(dict.fromkeys(walk))[:18]
     assert -2 in first
     assert report["attained_values"] == [str(v) for v in sorted(first)]
-    # a collector merged from shard collectors keeps them in that order too
+    # every later row whose value is not kept counts, a value met twice
+    # twice: 24 of the 125 rows, where counting each left-out value once
+    # per shard gave 15
+    assert report["values_truncated"] == sum(v not in first for v in walk) == 24
+    # a collector fed the shards in turn keeps them in that order too
     acc = _Collector(cfg)
     for c0 in range(-2, 3):
-        acc.merge(run_shard(cfg, c0))
+        run_shard(cfg, c0, acc)
     assert list(acc.values) == first
 
 
@@ -528,10 +526,12 @@ def test_big_height_search_matches_per_trial_reference(kind, params):
 
 
 def test_per_row_routes_take_python_ints():
-    # an int64 block reaches the character-product, Cayley and p >= 5
-    # Heisenberg routes as Python ints, so products past 2^63 stay exact
+    # an int64 block reaches the character-product routes, both the
+    # accumulators of (Z_p)^n and the direct evaluation of other products,
+    # and the p >= 5 Heisenberg route, and its values past 2^63 stay exact
     rng = np.random.default_rng(3)
-    for kind, params in (("elementary", (3, 2)), ("product", (2, 4)), ("heisenberg", (5,))):
+    for kind, params in (("elementary", (3, 2)), ("product", (2, 4)), ("product", (2, 3)),
+                         ("cyclic", (7,)), ("heisenberg", (5,))):
         _, ev = KINDS[kind].route(params)
         block = rng.integers(-2 ** 40, 2 ** 40, size=(2, KINDS[kind].order(params)))
         assert ev(block) == ev(block.tolist())

@@ -10,11 +10,11 @@ from groupdet import (
     InexactDivision,
     InvalidParameter,
     PreconditionViolated,
+    abelian_measure,
     achieve_construction,
     check_measure_congruence,
     check_power_sum_congruence,
     check_symmetric_power_divisibility,
-    circulant_det,
     h3_family_polys,
     h3_family_values,
     heisenberg_divisibility_check,
@@ -215,7 +215,7 @@ def test_negated_family_inputs_negate_values():
 def test_power_sum_congruence_simple_case():
     # f = 1 + y at p = 3: constant of f^3 mod y^3-1 is 2, circulant
     # determinant of (1,1,0) is 2, and 2 = 2 mod 9
-    assert circulant_det([[1, 1, 0]], 3) == [2]
+    assert abelian_measure((3,), [[1, 1, 0]]) == [2]
     assert check_power_sum_congruence([1, 1], 3)
 
 
