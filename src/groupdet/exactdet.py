@@ -1,7 +1,7 @@
 """Exact integer determinants and the multimodular certificate.
 
 ``det_int`` is the one determinant of integer matrices, the Cayley
-matrices of the ``oracle``: it eliminates modulo primes (``_det_mod``).
+matrices of the ``oracle``, by panel elimination modulo primes (``_det_mod``).
 The certificate is shared: ``modular_primes`` picks primes q = 1 (mod n)
 below 2^26 past twice a bound on the value, and ``crt_values`` recovers
 the values and checks each against one further prime, for ``det_int``
@@ -21,6 +21,10 @@ from .errors import GroupDetError, InvalidParameter
 # Elimination works modulo primes below 2^26, so that its entries stay in
 # int64, in batches that keep the int64 block near 1 MB.
 _PRIME_BOUND = 1 << 26
+# Column panels of _det_mod, at most 32 wide (its docstring); its products
+# of at most 2^15 entries (256 KB) stay on one OpenBLAS thread.
+_PANEL = 16
+_PRODUCT_ENTRIES = 1 << 15
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -46,9 +50,9 @@ def is_prime(n: int) -> bool:
 
 
 def det_int(rows) -> int:
-    """Exact determinant of a nonempty square matrix of Python ints, taken
-    modulo the ``modular_primes`` of its Hadamard bound and recovered by
-    ``crt_values``, which checks it against one further prime.
+    """Exact determinant of a nonempty square matrix of Python ints (lists
+    or an object array), taken modulo the ``modular_primes`` of its
+    Hadamard bound, recovered by ``crt_values``, checked by one more prime.
     """
     n = len(rows)
     if not n or any(len(r) != n for r in rows):
@@ -56,15 +60,16 @@ def det_int(rows) -> int:
     primes, modulus = modular_primes(math.prod(sum(a * a for a in r) for r in rows))
     try:
         a = np.array(rows, dtype=np.int64)
-    except OverflowError:  # entries past int64 are reduced exactly, in Python
-        a = None
+    except OverflowError:  # entries past int64 are reduced exactly, as Python ints
+        a = np.array(rows, dtype=object)
     per = max(1, (1 << 20) // (8 * n * n))
+    block = np.empty((min(per, len(primes)), n, n), dtype=np.int64)  # reused by every batch
     residues = []
     for i in range(0, len(primes), per):
         batch = primes[i:i + per]
-        block = (a % np.array(batch, dtype=np.int64)[:, None, None] if a is not None else
-                 np.array([[[x % q for x in r] for r in rows] for q in batch], dtype=np.int64))
-        residues += _det_mod(block, batch)
+        b = block[:len(batch)]
+        residues += _det_mod(np.remainder(a, np.array(batch, dtype=a.dtype)[:, None, None],
+                                          out=b, casting="unsafe"), batch)
     return crt_values([[r] for r in residues], primes, modulus)[0]
 
 
@@ -139,9 +144,18 @@ def _inverse_mod(v, q):
 
 def _det_mod(a, primes) -> list:
     """Determinant of each a[b] modulo primes[b] (or modulo one prime for
-    all), entries in [0, prime).  Each step reduces only the pivot row and
-    column, so every other entry gains at most one product of two
-    residues a step: |entry| < n q^2 + q.
+    all), entries in [0, prime); a is overwritten.
+
+    In column panels of width _PANEL, a step swaps in the first pivot
+    nonzero modulo q (whole rows), stores the multipliers L in its column
+    and updates only the panel's columns: a row swapped in from below has
+    had none of the panel's updates.  The panel's rows are then
+    forward-substituted right of it (U12), and L21 U12 leaves the trailing
+    block as two float64 products, U12 split into 13-bit halves.  Exact:
+    L and the halves are reduced, so a term is below 2^26 * 2^13 = 2^39
+    and a sum of _PANEL <= 32 non-negative terms below 2^53, in any order
+    BLAS adds them.  In int64 each entry still gains at most one product
+    of two residues per eliminated column: |entry| < n q^2 + q < 2^63.
     """
     nb, n, _ = a.shape
     q = np.broadcast_to(np.asarray(primes, dtype=np.int64), (nb,))
@@ -151,15 +165,29 @@ def _det_mod(a, primes) -> list:
     at = np.arange(nb)
     det = np.ones(nb, dtype=np.int64)
     qc = q[:, None]
-    for k in range(n):
-        col = a[:, k:, k] % qc
-        off = (col != 0).argmax(axis=1)  # 0 where the column vanishes
-        if off.any():
-            a[at, k], a[at, k + off] = a[at, k + off], a[at, k]
-            det = np.where(off > 0, -det, det)
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        for k in range(k0, k1):
             col = a[:, k:, k] % qc
-        pivot = col[:, 0]
-        det = det * pivot % q
-        factor = col[:, 1:] * _inverse_mod(pivot, q)[:, None] % qc
-        a[:, k + 1:, k + 1:] -= factor[:, :, None] * (a[:, k, k + 1:] % qc)[:, None, :]
+            off = (col != 0).argmax(axis=1)  # 0 where the column vanishes
+            if off.any():
+                a[at, k], a[at, k + off] = a[at, k + off], a[at, k]
+                det = np.where(off > 0, -det, det)
+                col = a[:, k:, k] % qc
+            pivot = col[:, 0]
+            det = det * pivot % q
+            a[:, k + 1:, k] = col[:, 1:] * _inverse_mod(pivot, q)[:, None] % qc
+            a[:, k + 1:, k + 1:k1] -= a[:, k + 1:, k, None] * (a[:, k, k + 1:k1] % qc)[:, None]
+        if k1 == n:
+            break
+        for k in range(k0, k1):
+            a[:, k, k1:] %= qc
+            a[:, k + 1:k1, k1:] -= a[:, k + 1:k1, k, None] * a[:, k, None, k1:]
+        low, u = a[:, k1:, k0:k1].astype(np.float64), a[:, k0:k1, k1:]
+        hi, lo = (u >> 13).astype(np.float64), (u & 8191).astype(np.float64)
+        step = max(1, _PRODUCT_ENTRIES // (nb * (n - k1)))
+        for i in range(k1, n, step):
+            rows = low[:, i - k1:i - k1 + step]
+            a[:, i:i + step, k1:] -= (rows @ hi).astype(np.int64) << 13
+            a[:, i:i + step, k1:] -= (rows @ lo).astype(np.int64)
     return det.tolist()

@@ -137,11 +137,14 @@ def kind_of(name) -> GroupKind:
 class GroupSpec:
     """A finite group given by tables, with structural validation.
 
-    ``mul[i][j]`` is the index of g_i * g_j, index 0 is the identity, and
+    ``mul[i, j]`` is the index of g_i * g_j, index 0 is the identity, and
     ``element_exps[i]`` is the exponent tuple of g_i in the kind's
-    generator convention.  Construction checks the identity, the Latin
-    square property, two-sided inverses, and (for order <= 200) full
-    associativity.
+    generator convention; ``mul`` and ``inv`` are read-only arrays.
+    Construction checks the identity, the Latin square property,
+    two-sided inverses, and associativity at every order by Light's test:
+    (x s) y = x (s y) for all x, y and each s of a set S that generates
+    the table, the unit labels plus any element they do not reach.  Each
+    s costs two order^2 gathers, not an order^3 array (16 MB at order 125).
     """
 
     __slots__ = ("kind", "params", "moduli", "order", "mul", "inv", "element_exps")
@@ -151,40 +154,44 @@ class GroupSpec:
         self.params = tuple(params)
         self.moduli = kind_of(kind).moduli(self.params)
         self.order = len(mul)
-        self.mul = tuple(tuple(row) for row in mul)
         self.element_exps = tuple(tuple(e) for e in element_exps)
         if len(set(self.element_exps)) != self.order:
             raise InvalidParameter("element exponent labels are not distinct")
-        self._validate()
-        inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.mul[i][j] == 0:
-                    inv[i] = j
-                    break
-        if any(v is None for v in inv):
+        self.mul = t = self._validated(np.asarray(mul, dtype=np.intp))
+        at = np.arange(self.order)
+        self.inv = inv = (t == 0).argmax(axis=1)
+        if (t[at, inv] != 0).any():
             raise InvalidParameter("some element has no inverse")
-        for i in range(self.order):
-            if self.mul[inv[i]][i] != 0:
-                raise InvalidParameter("inverses are not two-sided")
-        self.inv = tuple(inv)
+        if (t[inv, at] != 0).any():
+            raise InvalidParameter("inverses are not two-sided")
+        t.flags.writeable = inv.flags.writeable = False
 
-    def _validate(self):
+    def _validated(self, t):
         n = self.order
-        t = np.array(self.mul, dtype=np.int32)
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise InvalidParameter("multiplication table is malformed")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise InvalidParameter("index 0 is not a two-sided identity")
         ref = np.arange(n)
-        if not (np.array_equal(np.sort(t, axis=1), np.tile(ref, (n, 1)))
-                and np.array_equal(np.sort(t, axis=0), np.tile(ref[:, None], (1, n)))):
+        rows, cols = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+        rows[ref[:, None], t] = cols[t, ref] = True  # value v met in row i, in column j
+        if not (rows.all() and cols.all()):
             raise InvalidParameter("multiplication table is not a Latin square")
-        if n <= 200:
-            # (ab)c == a(bc) for all triples, one a at a time: two order^2
-            # slices rather than two order^3 arrays (16 MB at order 125)
-            if not all(np.array_equal(t[t[a]], t[a][t]) for a in range(n)):
-                raise InvalidParameter("multiplication table is not associative")
+        if not all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in self._generators(t)):
+            raise InvalidParameter("multiplication table is not associative")
+        return t
+
+    def _generators(self, t) -> list:
+        # grow S until its right products, all in the magma S generates, reach all
+        gens = [i for i, e in enumerate(self.element_exps) if sum(map(abs, e)) == 1]
+        reached = np.zeros(self.order, dtype=bool)
+        reached[gens] = True
+        while not reached.all():
+            hit = t[np.ix_(reached, gens)]
+            if reached[hit].all():  # closed: add the first element it misses
+                gens.append(int(reached.argmin()))
+            reached[hit] = reached[gens[-1:]] = True
+        return gens
 
 
 def describe_group(kind, params) -> dict:
@@ -237,16 +244,13 @@ def _heisenberg_mul(ps, a, b):
 def _dihedral_mul(ps, a, b):
     # (i, j) is x^i y^j with y x^k = x^-k y and y^2 = 1
     n = ps[0] // 2
-    return ((a[0] - b[0] if a[1] else a[0] + b[0]) % n, (a[1] + b[1]) % 2)
+    return ((a[0] + b[0] - 2 * a[1] * b[0]) % n, (a[1] + b[1]) % 2)
 
 
 def _dicyclic_mul(ps, a, b):
     # (i, j) is x^i y^j with y x^k = x^-k y and y^2 = x^n
     n = ps[0] // 4
-    i = a[0] - b[0] if a[1] else a[0] + b[0]
-    if a[1] and b[1]:
-        i += n
-    return (i % (2 * n), (a[1] + b[1]) % 2)
+    return ((a[0] + b[0] - 2 * a[1] * b[0] + n * a[1] * b[1]) % (2 * n), (a[1] + b[1]) % 2)
 
 
 # -- exact routes on flat coefficient vectors ----------------------------
@@ -296,13 +300,16 @@ KINDS = {
 
 @lru_cache(maxsize=None)
 def _cached_group(kind, params) -> GroupSpec:
-    # the one builder: every kind's table is its label product on its labels
+    # the one builder: the kind's label product over arrays of all pairs
     spec = kind_of(kind)
     spec.check(params)
     labels = spec.labels(params)
-    index = {e: i for i, e in enumerate(labels)}
-    mul = [[index[spec.mul(params, a, b)] for b in labels] for a in labels]
-    return GroupSpec(kind, params, mul, labels)
+    e = np.array(labels).T
+    prod = spec.mul(params, tuple(e[:, :, None]), tuple(e[:, None, :]))
+    moduli = spec.moduli(params)
+    if spec.first_fastest:
+        prod, moduli = prod[::-1], moduli[::-1]
+    return GroupSpec(kind, params, np.ravel_multi_index(prod, moduli), labels)
 
 
 def build_group(kind: str, *params) -> GroupSpec:
@@ -332,10 +339,9 @@ class GroupRingElt:
 
 
 def cayley_matrix(f: GroupRingElt):
-    """The order x order matrix with entry (i, j) = coeff at g_i * g_j^(-1)."""
+    """The order x order array of Python ints: entry (i, j) is the coeff at g_i * g_j^(-1)."""
     g = f.group
-    c = f.coeffs
-    return [[c[g.mul[i][g.inv[j]]] for j in range(g.order)] for i in range(g.order)]
+    return np.array(f.coeffs, dtype=object)[g.mul[:, g.inv]]
 
 
 def check_oracle_order(order: int, max_order: int = MAX_ORACLE_ORDER) -> None:

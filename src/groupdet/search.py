@@ -329,6 +329,12 @@ def _result_from_collector(cfg: SearchConfig, col: _Collector, route: str) -> Se
 _PAIR_BLOCK = 1 << 20
 
 
+def _distinct(x):
+    # np.unique(x) by a sort: on numpy 2 a plain np.unique imports numpy.ma
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
+
+
 def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
     # int64 is ample here: |value| <= 16384 * H^8, so heights up to ~35
     # stay exact; the budget bites long before that.
@@ -367,7 +373,7 @@ def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
         s1, s2, q = (f[:, None] - g for f, g in zip(f_keys[lo:lo + step].T, g_keys.T))
         values = s1 * s2 * q * q  # values[a, b]: f in class lo + a, g in class b
         kept = col._kept(values)
-        uniq.append(np.unique(values[kept]))
+        uniq.append(_distinct(values[kept]))
         absval = np.abs(values)
         kept = kept & (absval >= 2)
         if kept.any():
@@ -378,7 +384,7 @@ def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
                 a, b = np.nonzero(kept & (absval == low))
                 hits += zip(f_first[lo + a].tolist(), g_first[b].tolist(),
                             values[a, b].tolist(), f_shard[lo + a].tolist())
-    uniq = np.unique(np.concatenate(uniq))
+    uniq = _distinct(np.concatenate(uniq))
     col.values = dict.fromkeys(uniq[:cfg.max_values].tolist())
     col.truncated = max(0, len(uniq) - cfg.max_values)
     if hits:

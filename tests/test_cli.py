@@ -707,3 +707,42 @@ def test_roots_check_prime_failure_exits_1_under_python_O(tmp_path, make_input):
     # Heisenberg p = 5, an elementary abelian and a mixed product input
     _exit_under_python_O("compute", make_input(tmp_path),
                          "measures.crt_values = _sabotage_check_residue(measures)")
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    # on numpy 2 a plain np.unique imports numpy.ma, 10 to 25 ms and about
+    # 1.5 MB in a fresh process; one small call of each subcommand in one
+    # interpreter, which prints the first call after which numpy.ma is loaded
+    calls = [
+        ["compute", _heisenberg_input(tmp_path)], ["oracle", _oracle_input(tmp_path)],
+        ["verify", "congruence", "--p", "3", "--trials", "3"],
+        ["verify", "lemma1", "--p", "3", "--trials", "3"],
+        ["verify", "lemma2", "--p", "3", "--trials", "3"],
+        ["achieve", "--p", "3", "--a", "2", "--m", "27"],
+        ["sharp", "--family", "zp2", "--p", "5"], ["sharp", "--family", "heisenberg", "--p", "5"],
+        ["h3-values", "--m-range", "0..1"],
+        ["search", "--group", "dihedral:8", "--height", "2"],
+        ["search", "--group", "heisenberg:3", "--height", "1", "--trials", "50"],
+        ["search", "--group", "cyclic:5", "--height", "1", "--exhaustive"],
+        ["lambda", "--p", "3"],
+        ["measure", "dinf", "--f", "2+x", "--g", "x", "--points", "64"],
+        ["measure", "dinfh", "--f", "3+x", "--g", "x", "--points", "64"],
+        ["measure", "heis", "--f", "3+y+z", "--g", "1", "--points", "64"],
+    ]
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from groupdet.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    if code or 'numpy.ma' in sys.modules:\n"
+        "        print(code, argv)\n"
+        "        break\n"
+    )
+    src = str(Path(groupdet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -2,6 +2,8 @@
 identities, and agreement with a test-local Bareiss elimination over Z at
 every size; the primality test."""
 
+import hashlib
+import math
 import random
 from itertools import islice
 
@@ -270,3 +272,76 @@ def test_det_int_shape_validation():
         det_int([])
     with pytest.raises(ValueError):
         det_int([[1] * 32] * 31 + [[1]])
+
+
+# -- the panel elimination of _det_mod ----------------------------------------
+
+W = exactdet._PANEL
+
+
+def _residues(m, qs):
+    block = np.array([[[x % q for x in r] for r in m] for q in qs], dtype=np.int64)
+    return exactdet._det_mod(block, qs)
+
+
+def _panel_cases(rng, n):
+    """(name, matrix, determinant or None for Bareiss) for one size."""
+    dense = _random_matrix(rng, n)
+    # a zero leading block: the first panel's pivots come from rows below it
+    z = min(W, n // 2)
+    zero_lead = [[0 if i < z and j < z else rng.randint(-5, 5) for j in range(n)]
+                 for i in range(n)]
+    # a signed, scaled permutation: det = sign(perm) * product of the scales
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scale = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
+    sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    permutation = [[scale[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    # singular: the last row the sum of the first two (or zero)
+    singular = [row[:] for row in dense]
+    singular[-1] = [a + b for a, b in zip(dense[0], dense[1])] if n > 2 else [0] * n
+    return [("dense", dense, None), ("zero-lead", zero_lead, None),
+            ("permutation", permutation, sign * math.prod(scale)), ("singular", singular, 0)]
+
+
+@pytest.mark.parametrize("n", [W - 1, W, W + 1, 2 * W + 1, 97])
+def test_panel_elimination_matches_bareiss(n):
+    rng = random.Random(7000 + n)
+    qs = _first_primes(3)
+    for name, m, d in _panel_cases(rng, n):
+        if d is None:
+            d = _bareiss(m)
+        assert _residues(m, qs) == [d % q for q in qs], name
+
+
+def test_panel_elimination_with_a_column_vanishing_modulo_q():
+    # column W + 2, past the first panel, is a nonzero multiple of the first
+    # prime: that residue is 0, the others are not
+    n = 2 * W + 5
+    rng = random.Random(7100)
+    qs = _first_primes(3)
+    m = _random_matrix(rng, n)
+    for r in m:
+        r[W + 2] = qs[0] * rng.choice([-2, -1, 1, 2])
+    d = _bareiss(m)
+    assert d and _residues(m, qs) == [d % q for q in qs]
+    assert _residues(m, qs)[0] == 0
+
+
+@pytest.mark.parametrize("p, seed, bits, digest", [
+    (17, 1917, 29111, "213fe1873547746cbf7cdfd3571fa84f95b0e9f7568911da47c75ec33c06c5b2"),
+    (19, 1919, 42143, "1cb83b8dad17688882aca9fe5d25b79908322c90835e4ed6da2f7a163e1f3e8b"),
+])
+def test_heisenberg_blocks_wider_than_a_panel_keep_their_values(p, seed, bits, digest):
+    # the p x p blocks of M2 take the trailing update once p > W; the value
+    # of compute on these rows, recorded with the unblocked elimination,
+    # pinned by its bit length and the SHA-256 of its hex form
+    from groupdet.groups import KINDS
+    from groupdet.verify import random_heisenberg_poly
+
+    assert p > W
+    row = random_heisenberg_poly(random.Random(seed), p, 2)
+    _, exact = KINDS["heisenberg"].route((p,))
+    m = exact([row])[0]
+    assert m.bit_length() == bits
+    assert hashlib.sha256(hex(m).encode()).hexdigest() == digest

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from groupdet import (
@@ -71,16 +72,51 @@ def test_group_axioms(g):
         assert sorted(g.mul[j][i] for j in range(n)) == list(range(n))
 
 
+# an order-5 Latin square with identity 0 in which every element is its own
+# inverse: a loop, not a group (Z_5 has no element of order 2)
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+Z5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+
+
+def _times_cyclic(table, m):
+    """The direct product of a table with Z_m: labels (i, j), element (i, j)
+    at index i m + j, the product taken componentwise."""
+    k = len(table)
+    mul = [[table[a][c] * m + (b + d) % m for c in range(k) for d in range(m)]
+           for a in range(k) for b in range(m)]
+    return mul, [(i, j) for i in range(k) for j in range(m)]
+
+
 def test_non_associative_loop_is_rejected():
-    # an order-5 Latin square with identity 0 in which every element is its
-    # own inverse: a loop, not a group (Z_5 has no element of order 2)
-    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0]]
     labels = [(i,) for i in range(5)]
     with pytest.raises(InvalidParameter, match="not associative"):
-        GroupSpec("cyclic", (5,), loop, labels)
-    assert GroupSpec("cyclic", (5,), [[(i + j) % 5 for j in range(5)] for i in range(5)],
-                     labels).order == 5
+        GroupSpec("cyclic", (5,), LOOP5, labels)
+    assert GroupSpec("cyclic", (5,), Z5, labels).order == 5
+
+
+def test_non_associative_table_past_order_200_is_rejected():
+    # order 215: associativity is checked at every order
+    mul, labels = _times_cyclic(LOOP5, 43)
+    with pytest.raises(InvalidParameter, match="not associative"):
+        GroupSpec("product", (5, 43), mul, labels)
+    mul, labels = _times_cyclic(Z5, 43)
+    assert GroupSpec("product", (5, 43), mul, labels).order == 215
+
+
+def test_associativity_reaches_past_the_unit_labels():
+    # LOOP5 x Z_3 labelled 0..14: the one unit label, (1,), sits on (0, 1),
+    # which reaches only the associative {0} x Z_3 and passes Light's
+    # identity alone; the elements it does not reach must expose the loop
+    mul, _ = _times_cyclic(LOOP5, 3)
+    t = np.array(mul)
+    assert np.array_equal(t[t[:, 1]], t[:, t[1]])
+    labels = [(i,) for i in range(15)]
+    with pytest.raises(InvalidParameter, match="not associative"):
+        GroupSpec("cyclic", (15,), mul, labels)
+    # Z_5 x Z_3 = Z_15 under the same labels passes
+    mul, _ = _times_cyclic(Z5, 3)
+    g = GroupSpec("cyclic", (15,), mul, labels)
+    assert all(mul[i][g.inv[i]] == 0 for i in range(15))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -101,6 +137,40 @@ def test_heisenberg_law_matches_matrix_model(p):
             prod = g.element_exps[g.mul[i][j]]
             assert mat(prod) == matmul(mat(g.element_exps[i]),
                                        mat(g.element_exps[j]))
+
+
+@pytest.mark.parametrize("kind,order", [("dihedral", 2), ("dihedral", 12), ("dicyclic", 4),
+                                         ("dicyclic", 20)])
+def test_two_part_laws_match_matrix_models(kind, order):
+    # x^i y^j as a complex 2 x 2 matrix: x = diag(w, 1/w) with w of order
+    # order / 2, and y the swap for dihedral groups (y^2 = 1) or the
+    # quarter turn for dicyclic ones (y^2 = -1 = x^(order / 4))
+    g = build_group(kind, order)
+    w = np.exp(2j * np.pi / (order // 2))
+    y = np.array([[0, 1], [1, 0]]) if kind == "dihedral" else np.array([[0, -1], [1, 0]])
+
+    def mat(e):
+        return np.diag([w ** e[0], w ** -e[0]]) @ np.linalg.matrix_power(y, e[1])
+
+    mats = [mat(e) for e in g.element_exps]
+    for i in range(g.order):
+        for j in range(g.order):
+            assert np.allclose(mats[g.mul[i][j]], mats[i] @ mats[j])
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("cyclic", (6,)), ("elementary", (3, 2)), ("product", (2, 3, 4)),
+    ("heisenberg", (5,)), ("dihedral", (10,)), ("dicyclic", (12,)),
+])
+def test_table_is_the_label_product_of_each_pair(kind, params):
+    # the table is built over arrays of all pairs; the label product also
+    # takes one pair of labels as Python ints
+    spec = KINDS[kind]
+    g = build_group(kind, *params)
+    index = {e: i for i, e in enumerate(g.element_exps)}
+    assert g.element_exps == tuple(spec.labels(params))
+    assert g.mul.tolist() == [[index[tuple(spec.mul(params, a, b))] for b in g.element_exps]
+                              for a in g.element_exps]
 
 
 def test_flat_coeffs_reduce_exponents_and_count_them():
