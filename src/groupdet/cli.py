@@ -53,7 +53,7 @@ from .mahler import (
 )
 from .measures import heisenberg_measure
 from .parsing import bivariate_yz, parse_poly, univariate
-from .search import CHUNK_ROWS, SearchConfig, enumerate_values, lambda_heisenberg
+from .search import SearchConfig, block_rows, enumerate_values, lambda_heisenberg
 from .verify import (
     achieve_construction,
     check_measure_congruence,
@@ -183,9 +183,10 @@ def _cmd_verify(ns):
     failures = 0
     if ns.check == "congruence":  # drawn in trial order, evaluated a block at a time
         _, exact = KINDS["heisenberg"].route((ns.p,))
-        for lo in range(0, ns.trials, CHUNK_ROWS):
+        step = block_rows(ns.p ** 3)
+        for lo in range(0, ns.trials, step):
             rows = [random_heisenberg_poly(rng, ns.p, ns.height)
-                    for _ in range(min(CHUNK_ROWS, ns.trials - lo))]
+                    for _ in range(min(step, ns.trials - lo))]
             failures += sum(not check_measure_congruence(ns.p, f, m).holds
                             for f, m in zip(rows, exact(rows)))
     else:

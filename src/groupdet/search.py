@@ -3,22 +3,23 @@
 Enumerate (exhaustively or by seeded sampling) the determinant values a
 group attains at a given coefficient height, track the minimum
 nontrivial absolute value and a witness, and estimate the growth
-constant log(min)/|G|.  Rows reach the route evaluator as (B, |G|)
-blocks of at most CHUNK_ROWS rows, int64 unless the height is past it,
-so memory does not grow with the trials; every evaluator takes a whole
-block at once.  One collector takes each block's values: the first
-max_values distinct values met, a count of each later meeting with a
-value it left out, and the witness.  Random trials are drawn a block at
-a time, bit for bit the per-trial Random(f"{seed}:{t}") stream (see
-"random trials" below).  The witness depends on the order of work.
-Exhaustive work is split into shards by the first coefficient, in
+constant log(min)/|G|.  One byte budget, _BLOCK_BYTES, sizes every
+working array, so memory grows neither with the trials nor with the
+height: rows reach the route evaluator as (B, |G|) blocks of at most
+block_rows(|G|) rows, int64 unless the height is past it, and every
+evaluator takes a whole block at once.  One collector takes each block's
+values: the first max_values distinct values met, a count of each later
+meeting with a value it left out, and the witness.  Random trials are
+drawn a block at a time, bit for bit the per-trial Random(f"{seed}:{t}")
+stream (see "random trials" below).  The witness depends on the order of
+work.  Exhaustive work is split into shards by the first coefficient, in
 increasing order, which feed the one collector in turn, so its values
 and count are those of the lexicographic walk; each shard keeps the
-first vector of smallest |m| >= 2, and the search the least
-(|m|, m, vector) of those, so a tie in |m| goes to the negative value.
-A random search keeps the first such trial.  Order-8 dihedral searches
-pair value classes, with the witness the shards would keep, and count
-those pairs against the budget.
+first vector of smallest |m| >= 2, and the search the least (|m|, m,
+vector) of those, so a tie in |m| goes to the negative value.  A random
+search keeps the first such trial.  Order-8 dihedral searches pair value
+classes, with the witness the shards would keep, and count those pairs
+against the budget.
 """
 
 from __future__ import annotations
@@ -36,9 +37,15 @@ from .groups import kind_of
 from .verify import achieve_construction, is_power_residue
 
 DEFAULT_BUDGET = 100_000_000
-CHUNK_ROWS = 4096
 MAX_DISTINCT_VALUES = 1_000_000
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# bytes of a block of int64 rows, of its random draws, of a class-pair tile
+_BLOCK_BYTES = 1 << 18
+
+
+def block_rows(order: int) -> int:
+    """Rows of |G| = order int64 coefficients in one block."""
+    return max(1, _BLOCK_BYTES // (8 * order))
 
 
 def evaluation_budget() -> int:
@@ -179,12 +186,13 @@ def _collect(cfg: SearchConfig, blocks, col: _Collector) -> _Collector:
 
 def _shard_blocks(h: int, order: int, first_coeff: int):
     """The rows of the shard with leading coefficient first_coeff, in
-    lexicographic order, CHUNK_ROWS at a time: row r holds the base
-    2h + 1 digits of r, less h, after the leading coefficient."""
+    lexicographic order, a block at a time: row r holds the base 2h + 1
+    digits of r, less h, after the leading coefficient."""
     side = 2 * h + 1
     size = side ** (order - 1)
-    for lo in range(0, size, CHUNK_ROWS):
-        index = np.arange(lo, min(lo + CHUNK_ROWS, size), dtype=np.int64)
+    step = block_rows(order)
+    for lo in range(0, size, step):
+        index = np.arange(lo, min(lo + step, size), dtype=np.int64)
         block = np.empty((len(index), order), dtype=np.int64)
         block[:, 0] = first_coeff
         for j in range(order - 1, 0, -1):
@@ -220,8 +228,6 @@ def run_shard(cfg: SearchConfig, first_coeff: int, col: _Collector) -> _Collecto
 # draws than |G|, and every row of a height with k > 32, takes its own
 # randint calls: the same stream, drawn one value at a time.
 
-# Mersenne Twister outputs per block of trials: 1 MB as uint32
-_DRAW_WORDS = 1 << 18
 _DRAW_SIGMAS = 4
 
 
@@ -271,9 +277,9 @@ def _draw(r: random.Random, seed: int, ts: range, order: int, h: int, width: int
 
 def _random_blocks(seed: int, trials: int, order: int, h: int):
     """The rows of trials 0 to trials - 1 in blocks of at most
-    CHUNK_ROWS, each at most _DRAW_WORDS outputs."""
+    block_rows(order), each drawing at most _BLOCK_BYTES of outputs."""
     width = _draw_width(order, h)
-    step = max(1, min(CHUNK_ROWS, _DRAW_WORDS // width))
+    step = max(1, min(block_rows(order), _BLOCK_BYTES // (4 * width)))
     r = random.Random()
     for lo in range(0, trials, step):
         yield _draw(r, seed, range(lo, min(lo + step, trials)), order, h, width)
@@ -322,11 +328,10 @@ def _result_from_collector(cfg: SearchConfig, col: _Collector, route: str) -> Se
 # also split by the leading coefficient, the shard of the generic search,
 # so that a pair's first members are its first vector in that shard:
 # 957 x 203 class pairs at height 3 rather than 2401^2 vector pairs.  The
-# budget counts these pairs, and the pair matrix is evaluated a block of
-# f classes at a time.
-
-# pairs per block of the pair matrix: 8 MB an int64 array
-_PAIR_BLOCK = 1 << 20
+# budget counts these pairs.  The pair matrix is evaluated a tile of
+# _BLOCK_BYTES at a time, and each tile's distinct values wait in a list
+# that is folded into the running set once it holds as many values as the
+# set (or a tile), so memory is a tile and a few times the distinct values.
 
 
 def _distinct(x):
@@ -366,27 +371,37 @@ def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
     f_keys, f_first = np.concatenate(f_keys), np.concatenate(f_first)
     col = _Collector(cfg)
     col.evaluations = side ** 8
-    uniq = []
+    tile = _BLOCK_BYTES // 8
+    width = min(len(g_keys), tile)
+    rows = max(1, tile // width)
+    seen, pending = np.empty(0, dtype=np.int64), []
     low, hits = None, []  # hits: (f first, g first, value, shard) at |value| = low
-    step = max(1, _PAIR_BLOCK // len(g_keys))
-    for lo in range(0, len(f_keys), step):
-        s1, s2, q = (f[:, None] - g for f, g in zip(f_keys[lo:lo + step].T, g_keys.T))
-        values = s1 * s2 * q * q  # values[a, b]: f in class lo + a, g in class b
-        kept = col._kept(values)
-        uniq.append(_distinct(values[kept]))
-        absval = np.abs(values)
-        kept = kept & (absval >= 2)
-        if kept.any():
+    for lo in range(0, len(f_keys), rows):
+        f = f_keys[lo:lo + rows]
+        for at in range(0, len(g_keys), width):
+            g = g_keys[at:at + width]
+            values, s2, q = (x[:, None] - y for x, y in zip(f.T, g.T))
+            values *= s2
+            values *= q
+            values *= q  # values[a, b]: f in class lo + a, g in class at + b
+            kept = col._kept(values)
+            pending.append(_distinct(values[kept]))
+            if sum(map(len, pending)) >= max(len(seen), tile):
+                seen, pending = _distinct(np.concatenate([seen, *pending])), []
+            absval = np.abs(values, out=s2)
+            kept = kept & (absval >= 2)
+            if not kept.any():
+                continue
             m = absval[kept].min()
             if low is None or m < low:
                 low, hits = m, []
             if m == low:
                 a, b = np.nonzero(kept & (absval == low))
-                hits += zip(f_first[lo + a].tolist(), g_first[b].tolist(),
+                hits += zip(f_first[lo + a].tolist(), g_first[at + b].tolist(),
                             values[a, b].tolist(), f_shard[lo + a].tolist())
-    uniq = _distinct(np.concatenate(uniq))
-    col.values = dict.fromkeys(uniq[:cfg.max_values].tolist())
-    col.truncated = max(0, len(uniq) - cfg.max_values)
+    seen = _distinct(np.concatenate([seen, *pending]))
+    col.values = dict.fromkeys(seen[:cfg.max_values].tolist())
+    col.truncated = max(0, len(seen) - cfg.max_values)
     if hits:
         firsts = {}  # shard -> (m, f first, g first) of its first vector of smallest |m|
         for i, j, m, shard in sorted(hits):

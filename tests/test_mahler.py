@@ -9,7 +9,6 @@ import cmath
 import json
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,18 +307,13 @@ def test_heisenberg_limit_mixes_slice_degrees():
     assert heisenberg_infinite_measure(f0, {(0, 0): 1}, points=63).error_estimate is None
 
 
-def test_heisenberg_limit_memory_does_not_grow_with_points():
+def test_heisenberg_limit_memory_does_not_grow_with_points(traced_peak):
     # one unchunked (points, 5, 5) complex block would take 13 MB alone
     rng = random.Random(95)
     f0, fk = ({(ey, ez): rng.choice([-3, -2, -1, 1, 2, 3]) for ey in range(6) for ez in range(3)}
               for _ in range(2))
     heisenberg_infinite_measure(f0, fk, points=16)
-    tracemalloc.start()
-    try:
-        got = heisenberg_infinite_measure(f0, fk, points=32768)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: heisenberg_infinite_measure(f0, fk, points=32768))
     assert got.slices == 2 * 32768
     assert peak < 4 << 20
 

@@ -9,7 +9,6 @@ the honest n x n matrix and eliminates.
 
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -517,19 +516,14 @@ def test_roots_refuse_lengths_that_overflow_int64():
     assert abelian_measure((2,) * 11, one) == [1]
 
 
-def test_engine_memory_stays_bounded_on_a_dense_circulant():
+def test_engine_memory_stays_bounded_on_a_dense_circulant(traced_peak):
     # a pass of primes counts the (length, characters) powers it gathers:
     # one dense height-3 row of Z_512 peaks near 8 MB, where passes sized
     # without them stacked about 200 MB of gathered powers
     _, exact = kind_of("cyclic").route((512,))
     rng = random.Random(77)
     row = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(512)]
-    tracemalloc.start()
-    try:
-        value, = exact([row])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (value,), peak = traced_peak(lambda: exact([row]))
     assert value and peak < 32 << 20
 
 

@@ -3,7 +3,7 @@
 import functools
 import math
 import random
-import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -26,13 +26,13 @@ from groupdet import (
 from groupdet import search
 from groupdet.groups import KINDS, build_group
 from groupdet.search import (
-    CHUNK_ROWS,
     MAX_DISTINCT_VALUES,
     SearchResult,
     _Collector,
     _draw,
     _draw_width,
     _random_blocks,
+    block_rows,
     run_shard,
 )
 
@@ -195,12 +195,11 @@ def _d8_class_pairs(height):
 
 def test_d8_budget_counts_class_pairs(monkeypatch):
     # a budget below the 5^8 vectors of height 2 but at the class-pair
-    # count runs, in blocks of a few f classes, and finds what the full
+    # count runs, in tiles of a few f classes, and finds what the full
     # search finds; one pair less is refused
-    import groupdet.search
     pairs = _d8_class_pairs(2)
     assert pairs < 5 ** 8
-    monkeypatch.setattr(groupdet.search, "_PAIR_BLOCK", 1000)
+    monkeypatch.setattr(search, "_BLOCK_BYTES", 8 * 1000)
     res = enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=2, budget=pairs))
     evaluations, low, vec, values = _d8_reference(2, "all")
     assert (res.evaluations, res.min_nontrivial) == (evaluations, low)
@@ -278,22 +277,60 @@ def test_d8_class_pairs_match_generic_shards(value_filter):
     assert res.attained_values == sorted(acc.values)
 
 
-def test_random_search_memory_does_not_grow_with_trials():
-    # the evaluator sees blocks of at most CHUNK_ROWS trials, so ten times the
-    # trials may not raise the peak; max_values caps the one thing that
-    # should grow, the set of attained values
+def test_random_search_memory_does_not_grow_with_trials(traced_peak):
+    # the evaluator sees blocks of at most block_rows(27) trials, so ten
+    # times the trials may not raise the peak; max_values caps the one
+    # thing that should grow, the set of attained values
     def peak(trials):
         cfg = SearchConfig(kind="heisenberg", params=(3,), height=2, mode="random",
                            trials=trials, seed=5, max_values=1000)
-        tracemalloc.start()
-        try:
-            assert enumerate_values(cfg).evaluations == trials
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(lambda: enumerate_values(cfg))
+        assert res.evaluations == trials
+        return peak
 
     peak(100)
     assert peak(10 ** 5) < peak(10 ** 4) + (256 << 10)
+
+
+def test_d8_class_pairs_memory_does_not_grow_with_height(traced_peak):
+    # tiles of _BLOCK_BYTES and a folded value set: the 1.3M class pairs
+    # of height 4 took 48 MB when each temporary held a million of them
+    cfg = SearchConfig(kind="dihedral", params=(8,), height=4)
+    res, peak = traced_peak(lambda: enumerate_values(cfg))
+    assert res.evaluations == 9 ** 8
+    assert peak < 4 << 20
+
+
+def test_random_search_memory_is_one_block(traced_peak):
+    # 10^4 heisenberg:3 trials at height 2 come in blocks of at most
+    # block_rows(27) rows and 256 KB of draws
+    cfg = SearchConfig(kind="heisenberg", params=(3,), height=2, mode="random",
+                       trials=10 ** 4, seed=5)
+    res, peak = traced_peak(lambda: enumerate_values(cfg))
+    assert res.evaluations == 10 ** 4
+    assert peak < 3 << 20
+
+
+def test_evaluator_blocks_follow_the_rule(monkeypatch):
+    # a random heisenberg:5 search hands its route blocks of at most
+    # block_rows(125) rows, and an exhaustive cyclic:7 search its shards
+    # of 5^6 rows in blocks of block_rows(7)
+    sizes = []
+
+    def recording(kind):
+        def exact(params):
+            route, ev = kind.exact(params)
+            return route, lambda rows: sizes.append(len(rows)) or ev(rows)
+        return replace(kind, exact=exact)
+
+    for name, params, cfg in (
+            ("heisenberg", (5,), dict(height=1, mode="random", trials=600, seed=1)),
+            ("cyclic", (7,), dict(height=2))):
+        monkeypatch.setitem(KINDS, name, recording(KINDS[name]))
+        sizes.clear()
+        res = enumerate_values(SearchConfig(kind=name, params=params, **cfg))
+        assert sum(sizes) == res.evaluations and len(sizes) > 2
+        assert max(sizes) == block_rows(KINDS[name].order(params))
 
 
 def test_search_reports_the_route():
@@ -319,23 +356,28 @@ def _stdlib_rows(seed, ts, order, h):
 
 def _sampled_rows(seed, trials, order, h):
     blocks = list(_random_blocks(seed, trials, order, h))
-    assert all(len(b) <= search.CHUNK_ROWS for b in blocks)
+    assert all(len(b) <= block_rows(order) for b in blocks)
     return np.concatenate(blocks).tolist()
 
 
 @pytest.mark.parametrize("order", [5, 8, 16, 27, 125])
 def test_sampler_rows_equal_the_stdlib_stream(monkeypatch, order):
-    # 37 trials in blocks of at most 16: two full blocks and a short one
-    monkeypatch.setattr(search, "CHUNK_ROWS", 16)
+    # 37 trials in blocks of at most 16: several blocks and a short one
+    monkeypatch.setattr(search, "_BLOCK_BYTES", 16 * 8 * order)
+    assert block_rows(order) == 16
     for h in range(11):
         for seed in (0, -7, 10 ** 12):
             assert _sampled_rows(seed, 37, order, h) == _stdlib_rows(seed, range(37), order, h)
 
 
 def test_sampler_blocks_past_chunk_rows():
-    trials = 2 * CHUNK_ROWS + 5
+    # a block is at most block_rows(27) rows and a quarter of
+    # _BLOCK_BYTES draws: 1,024 rows of 64 draws at height 2
+    step = min(block_rows(27), search._BLOCK_BYTES // (4 * _draw_width(27, 2)))
+    assert step == 1024
+    trials = 2 * step + 5
     blocks = list(_random_blocks(3, trials, 27, 2))
-    assert [len(b) for b in blocks] == [CHUNK_ROWS, CHUNK_ROWS, 5]
+    assert [len(b) for b in blocks] == [step, step, 5]
     assert np.concatenate(blocks).tolist() == _stdlib_rows(3, range(trials), 27, 2)
 
 
@@ -460,7 +502,8 @@ def test_block_collector_matches_row_reference(monkeypatch, kind, params, height
                                                value_filter, max_values):
     # blocks of at most 64 rows, so that with --max-values 7 the set fills
     # inside the first block and later blocks count what it leaves out
-    monkeypatch.setattr(search, "CHUNK_ROWS", 64)
+    monkeypatch.setattr(search, "_BLOCK_BYTES", 64 * 8 * KINDS[kind].order(params))
+    assert block_rows(KINDS[kind].order(params)) == 64
     cfg = SearchConfig(kind=kind, params=params, height=height, mode=mode, trials=500,
                        seed=11, value_filter=value_filter, max_values=max_values)
     report = enumerate_values(cfg).to_report(value_cap=10 ** 9)
