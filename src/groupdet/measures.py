@@ -4,12 +4,10 @@ Each fast route is a product of determinants whose entries are integer
 polynomials at roots of unity, and one engine, ``_at_roots``, computes it
 for a chunk of coefficient rows at once.  Modulo primes q = 1 (mod N) an
 element w of order N stands in for the complex root: the rows are
-reduced, evaluated by one int64 product with the powers of w, and
-multiplied out, and ``exactdet.crt_values`` recovers each value past a
-bound that the caller supplies and checks it against one further prime.
-A polynomial lives on the labels of a product of cyclic groups Z_n1 x ...
-x Z_nk, and each character of that group sends a label to a power of w,
-N = lcm(n_i), read from the exponent matrix ``_exponents``.
+reduced, evaluated at the characters by a Fourier transform modulo q
+(Pollard 1971), a cyclic factor at a time, and multiplied out, and
+``exactdet.crt_values`` recovers each value past a bound that the caller
+supplies and checks it against one further prime.
 
 * ``abelian_measure``, for every product of cyclic groups: the product of
   the character values.  Over (Z_p)^n with n >= 2 each value is a
@@ -52,6 +50,7 @@ from .exactdet import _PRIME_BOUND, _det_mod, _pow_mod, crt_values, is_prime, mo
 # rows x cells of one pass over a chunk: each int64 array of a pass stays
 # within 8 MB, so memory does not grow with the chunk
 _ROOT_CELLS = 1 << 20
+_RADIX = 64  # the longest contraction of a composite length, see ``_plan``
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -81,14 +80,18 @@ def _chunked(f, a, cells: int) -> list:
 
 
 @lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple:  # least first
+    return tuple(r for r in range(2, n + 1) if n % r == 0 and is_prime(r))
+
+
+@lru_cache(maxsize=None)
 def _root_of_unity(q: int, order: int) -> int:
     """An element of exact multiplicative order ``order`` modulo the prime
     q = 1 (mod order): some w = g^((q - 1) / order) with w^order = 1 and
     no power w^(order / r) equal to 1 for a prime r dividing the order."""
-    rs = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
     for g in range(1, q):
         w = pow(g, (q - 1) // order, q)
-        if pow(w, order, q) == 1 and all(pow(w, order // r, q) != 1 for r in rs):
+        if pow(w, order, q) == 1 and all(pow(w, order // r, q) != 1 for r in _prime_factors(order)):
             return w
     raise GroupDetError(f"no element of order {order} modulo {q}")
 
@@ -114,55 +117,57 @@ def _prod_mod(v, q):
     return v[:, 0]
 
 
-@lru_cache(maxsize=4)
-def _exponents(moduli: tuple):
-    """E[g, c] = sum_i g_i c_i L / n_i mod L for labels g and c of the
-    product of cyclic groups with the moduli n_i, in label order (the
-    last exponent fastest), and L = lcm(n_i): character c sends label g
-    to w^E[g, c] for w of order L.  A (|G|, |G|) index array, 33 MB at
-    the largest length the engine takes, so few are kept."""
-    big = math.lcm(*moduli)
-    e = np.zeros((1, 1), dtype=np.intp)
-    for n in moduli:
-        k = np.arange(n, dtype=np.intp)
-        e = (e[:, None, :, None] + np.outer(k, k)[:, None, :] * (big // n)) % big
-        e = e.reshape(len(e) * n, -1)
-    return e
+def _plan(n: int, big: int, cols=slice(None)):
+    """How to evaluate sum_j a_j v^(j k) at the k in ``cols`` of range(n),
+    v = w^(big / n) for w of order big, gathering ``cells`` powers of w:
+    (cells, E) for one contraction, E[j, k] = (j k mod n) big / n, where n
+    is prime or at most _RADIX; else (cells, cols, E of f, twiddles, plan
+    of n / f) for a Cooley-Tukey step, j = (n / f) j1 + j2, k = k1 + f k2,
+    f = max(least prime factor of n, largest divisor of n <= _RADIX)."""
+    j, least = np.arange(n), min(_prime_factors(n), default=1)
+    f = max(d for d in range(1, min(n, max(_RADIX, least)) + 1) if n % d == 0)
+    if f == n:
+        if n * _PRIME_BOUND ** 2 >= 1 << 63:  # a sum of n products of residues
+            raise InvalidParameter(f"the prime factor {n} is too large for int64 evaluation")
+        return n * len(j[cols]), np.outer(j, j[cols]) % n * (big // n)
+    tw, rest = np.outer(j[:f], j[:n // f]) * (big // n), _plan(n // f, big)
+    return f * f + n + rest[0], cols, _plan(f, big)[1], tw, rest
+
+
+def _dft(a, plan, pw, q):
+    # ``plan`` on a (P, rows, n) array modulo the (P, 1, 1) primes q, pw the (P, big) powers of w
+    if len(plan) == 2:
+        return a @ pw[:, plan[1]] % q
+    (_, cols, ef, tw, rest), (s, rows, n) = plan, a.shape  # y[k1, j2], then y[k1, k2]
+    y = (pw[:, None, ef] @ a.reshape(s, rows, len(ef), -1) % q[..., None]) * pw[:, None, tw]
+    y = _dft(y.reshape(s, -1, tw.shape[1]) % q, rest, pw, q)
+    return y.reshape(s, rows, len(ef), -1).swapaxes(2, 3).reshape(s, rows, n)[:, :, cols]
 
 
 def _at_roots(x, parts: int, moduli, columns, factor, bound_sq: int) -> list:
-    """Exact values of the rows of x, as a list of ints, each of absolute
-    value at most sqrt(bound_sq).
-
-    Each row of x, an exact (B, parts * length) array from
-    ``_exact_rows``, is ``parts`` polynomials on the ``length`` labels of
-    the product of cyclic groups with these moduli.  For each prime q of
-    ``modular_primes(bound_sq, L)``, L = lcm(moduli), e[b, j, i] is
-    polynomial j of row b at the character ``columns``[i] of
-    ``_exponents(moduli)`` modulo q, and the value of row b modulo q is
-    the product of the entries of factor(e, q)[b].  Passes take as many
-    primes at once as keep their arrays, the gathered (length, characters)
-    powers of w among them, near _ROOT_CELLS cells, stacked along the
-    first axis of e, with q the matching (rows, 1, 1) column of primes.
-    The matrix product sums ``length`` products of residues below 2^26,
-    so lengths from 2048 on, where that sum could pass 2^63, raise
-    InvalidParameter.
-    """
-    length = math.prod(moduli)
-    if length * _PRIME_BOUND ** 2 >= 1 << 63:
-        raise InvalidParameter(f"{length} coefficients are too many for int64 evaluation")
-    if not len(x):
-        return []
+    """Exact values of the rows of x, each of absolute value at most
+    sqrt(bound_sq).  A row of the exact (B, parts * |G|) array x is
+    ``parts`` polynomials on the labels of G = Z_n1 x ... x Z_nk.  Modulo
+    each prime q of ``modular_primes(bound_sq, L)``, L = lcm(n_i), e[b, j]
+    is polynomial j of row b at the characters c with c_1 in ``columns``,
+    in label order (c sends g to w^(sum_i g_i c_i L / n_i)), by a ``_plan``
+    an axis, and factor(e, q)[b] multiplies out to the value of row b.
+    Passes stack primes along the first axis of e, q the matching column,
+    while their arrays and gathered powers of w stay near _ROOT_CELLS."""
     order = math.lcm(*moduli)
-    at = _exponents(tuple(moduli))[:, columns]
+    plans = [_plan(n, order, columns if i == 0 else slice(None)) for i, n in enumerate(moduli)]
+    chars = math.prod(moduli[1:]) * len(range(moduli[0])[columns])
     primes, modulus = modular_primes(bound_sq, order)
-    per = max(1, _ROOT_CELLS // (x.size + (len(x) * parts + length) * at.shape[1]))
+    per = max(1, _ROOT_CELLS // (x.size + len(x) * parts * chars + sum(p[0] for p in plans)))
     residues = []
     for i in range(0, len(primes), per):
         batch = primes[i:i + per]
         q = np.array(batch, dtype=np.int64).reshape(-1, 1, 1)
-        r = np.asarray(x % q.astype(x.dtype), dtype=np.int64).reshape(len(batch), -1, length)
-        e = r @ _powers(batch, order)[:, at] % q
+        pw = _powers(batch, order)
+        e = np.asarray(x % q.astype(x.dtype), dtype=np.int64).reshape(len(batch), -1, *moduli)
+        for n, plan in zip(moduli[::-1], plans[::-1]):  # each axis evaluated, moved to the front
+            t = _dft(e.reshape(len(batch), -1, n), plan, pw, q)
+            e = np.moveaxis(t.reshape(*e.shape[:-1], -1), -1, 2)
         q = np.repeat(q, len(x), axis=0)
         v = factor(e.reshape(len(q), parts, -1), q).reshape(len(q), -1) % q[:, 0]
         residues.append(_prod_mod(v, q[:, 0]).reshape(len(batch), -1))

@@ -10,6 +10,7 @@ the honest n x n matrix and eliminates.
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -73,18 +74,49 @@ def test_table_route_equals_oracle(kind, data):
     assert exact([coeffs]) == [group_determinant(GroupRingElt(g, coeffs))]
 
 
+def _crt_relabel(row, moduli):
+    """A row on the labels of Z_n1 x ... x Z_nk, the moduli pairwise
+    coprime, as a row of the cyclic group of order n1 ... nk: label k of
+    that group is the label (k mod n1, ..., k mod nk) of the product."""
+    k = np.arange(math.prod(moduli))
+    return [row[i] for i in np.ravel_multi_index([k % n for n in moduli], moduli)]
+
+
 def test_product_past_the_oracle_cap_equals_the_cyclic_route():
-    # Z_3 x Z_400 is Z_1200: label (a, b) is the residue k with k = a mod 3
-    # and k = b mod 400, so each row has the value of its relabelled circulant
+    # Z_3 x Z_400 is Z_1200, so each row has the value of its relabelled
+    # circulant
     rng = random.Random(76)
     terms = [((rng.randrange(3), rng.randrange(400)), rng.choice([-1, 1])) for _ in range(4)]
     rows = [KINDS["product"].flat_coeffs((3, 400), terms),
             KINDS["product"].flat_coeffs((3, 400), [((0, 0), 2), ((1, 7), 1)])]
-    relabelled = [[r[(k % 3) * 400 + k % 400] for k in range(1200)] for r in rows]
     got = kind_of("product").route((3, 400))[1](rows)
-    assert got == kind_of("cyclic").route((1200,))[1](relabelled)
+    assert got == kind_of("cyclic").route((1200,))[1]([_crt_relabel(r, (3, 400)) for r in rows])
     # 2 + g with g of order 1200: the product of 2 + z over the 1200th roots z
     assert got[1] == 2 ** 1200 - 1
+
+
+def test_cyclic_past_the_oracle_cap_equals_its_crt_product():
+    # Z_3000, one axis in a Cooley-Tukey step (3000 = 60 * 50), against
+    # Z_8 x Z_3 x Z_125, one contraction an axis
+    moduli = (8, 3, 125)
+    rng = random.Random(78)
+    terms = [(tuple(rng.randrange(n) for n in moduli), rng.choice([-1, 1])) for _ in range(4)]
+    rows = [KINDS["product"].flat_coeffs(moduli, terms),
+            KINDS["product"].flat_coeffs(moduli, [((0, 0, 0), 2), ((1, 1, 1), 1)])]
+    got = abelian_measure((3000,), [_crt_relabel(r, moduli) for r in rows])
+    assert got == abelian_measure(moduli, rows)
+    assert got[1] == 2 ** 3000 - 1
+
+
+def test_separable_row_over_z4_to_the_sixth_is_a_product_of_norms():
+    # F = f1(x1) ... f6(x6) over (Z_4)^6 takes the value f1(w^c1) ... f6(w^c6)
+    # at character c, so M(F) is the product of the Z_4 determinants
+    # N(f_i), each to the power 4^5 = 1024
+    fs = [[2, 1, 0, 0], [3, 0, 1, 0], [1, 1, 1, 0], [2, 0, 0, 1], [1, 2, 0, 0], [1, 1, 0, 1]]
+    norms = abelian_measure((4,), fs)
+    assert norms == [15, 64, 3, 15, -15, -3]
+    row = reduce(np.multiply.outer, fs).ravel().tolist()  # label order, last fastest
+    assert abelian_measure((4,) * 6, [row]) == [math.prod(norms) ** 1024]
 
 
 # -- abelian character products --------------------------------------------
@@ -420,7 +452,7 @@ def _singular_rows(kind, order):
 
 
 @pytest.mark.parametrize("kind,orders", [
-    ("cyclic", list(range(1, 41))),
+    ("cyclic", list(range(1, 41)) + [65, 96, 128, 130, 192]),
     ("dihedral", list(range(2, 34, 2)) + [48, 64, 96, 128]),
     ("dicyclic", list(range(4, 68, 4)) + [96, 128, 160]),
 ])
@@ -501,30 +533,60 @@ def test_roots_check_prime_catches_a_wrong_residue(monkeypatch):
             call()
 
 
-def test_roots_refuse_lengths_that_overflow_int64():
-    # 2048 products of residues below 2^26 could pass 2^63; zero-stride
-    # views, so nothing is allocated before the refusal
+def test_roots_refuse_prime_factors_that_overflow_int64():
+    # a contraction as long as a prime factor from 2048 on sums products
+    # of residues below 2^26 that could pass 2^63; zero-stride views, so
+    # nothing is allocated before the refusal
     zero = np.zeros(1, dtype=np.int64)
-    for moduli in ((2048,), (2, 1024)):
-        with pytest.raises(InvalidParameter, match="2048 coefficients .* int64"):
-            abelian_measure(moduli, np.broadcast_to(zero, (1, 2048)))
-    with pytest.raises(InvalidParameter, match="int64"):
-        dicyclic_measure(np.broadcast_to(zero, (1, 4096)), 1024)
+    for moduli in ((2053,), (2, 2053), (4106,)):
+        with pytest.raises(InvalidParameter, match="prime factor 2053 .* int64"):
+            abelian_measure(moduli, np.broadcast_to(zero, (1, math.prod(moduli))))
+    # lengths from 2048 with small prime factors compute: 2 + g with g of
+    # order 2048 or 1024, and 2 + y over the dicyclic group of order 4096,
+    # where f f~ -+ g g~ is 4 -+ 1 at each of the 2048 roots
+    row = np.zeros((1, 4096), dtype=np.int64)
+    row[0, :2] = 2, 1
+    assert abelian_measure((2048,), row[:, :2048]) == [2 ** 2048 - 1]
+    assert abelian_measure((2, 1024), row[:, :2048]) == [(2 ** 1024 - 1) ** 2]
+    row[0, 1], row[0, 2048] = 0, 1  # [f, g] = [2, 1]
+    assert dicyclic_measure(row, 1024) == [15 ** 1024]
     # (Z_2)^11 takes the accumulators, whose length is 2
     one = np.zeros((1, 2048), dtype=np.int64)
     one[0, 0] = 1
     assert abelian_measure((2,) * 11, one) == [1]
 
 
+def test_sparse_dihedral_row_matches_its_closed_form():
+    # f = 2 + x, g = x^2 + x^3: f f~ - g g~ = 3 + x + 1/x = (x^2 + 3 x + 1) / x,
+    # so the value over the n-th roots z is (-1)^(n + 1) (a^n - 1)(b^n - 1)
+    # = (-1)^(n + 1) (2 - s_n), with a b = 1 and s_n = a^n + b^n for the roots
+    # a, b of x^2 + 3 x + 1
+    def row(n):
+        return [2, 1] + [0] * (n - 2) + [0, 0, 1, 1] + [0] * (n - 4)
+
+    def closed(n):
+        s, t = 2, -3  # s_0, s_1
+        for _ in range(n):
+            s, t = t, -3 * t - s
+        return (-1) ** (n + 1) * (2 - s)
+
+    g = build_group("dihedral", 16)
+    assert group_determinant(GroupRingElt(g, row(8))) == closed(8)
+    for n in (5, 8, 1024):
+        assert dihedral_measure([row(n)], n) == [closed(n)]
+
+
 def test_engine_memory_stays_bounded_on_a_dense_circulant(traced_peak):
-    # a pass of primes counts the (length, characters) powers it gathers:
-    # one dense height-3 row of Z_512 peaks near 8 MB, where passes sized
-    # without them stacked about 200 MB of gathered powers
-    _, exact = kind_of("cyclic").route((512,))
-    rng = random.Random(77)
-    row = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(512)]
-    (value,), peak = traced_peak(lambda: exact([row]))
-    assert value and peak < 32 << 20
+    # a pass of primes counts the powers of w it gathers with its arrays:
+    # one dense height-3 row of Z_512 peaks near 5 MB, where passes sized
+    # without them stacked about 200 MB of gathered powers, and one of
+    # Z_2048, in Cooley-Tukey steps of 64 and 32, near 12 MB
+    for n in (512, 2048):
+        _, exact = kind_of("cyclic").route((n,))
+        rng = random.Random(77)
+        row = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
+        (value,), peak = traced_peak(lambda: exact([row]))
+        assert value and peak < 32 << 20
 
 
 def test_roots_refuse_when_the_primes_run_out(monkeypatch):
