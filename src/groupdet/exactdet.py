@@ -19,8 +19,11 @@ import numpy as np
 from .errors import GroupDetError, InvalidParameter
 
 # Elimination works modulo primes below 2^26, so that its entries stay in
-# int64, in batches that keep the int64 block near 1 MB.
+# int64.  det_int eliminates its primes in batches whose int64 block stays
+# within _BLOCK_BYTES: one batch for a dense height-2 Cayley matrix up to
+# order about 140, batches of 5 primes at order 300.
 _PRIME_BOUND = 1 << 26
+_BLOCK_BYTES = 1 << 22
 # Column panels of _det_mod, at most 32 wide (its docstring); its products
 # of at most 2^15 entries (256 KB) stay on one OpenBLAS thread.
 _PANEL = 16
@@ -62,7 +65,7 @@ def det_int(rows) -> int:
         a = np.array(rows, dtype=np.int64)
     except OverflowError:  # entries past int64 are reduced exactly, as Python ints
         a = np.array(rows, dtype=object)
-    per = max(1, (1 << 20) // (8 * n * n))
+    per = max(1, _BLOCK_BYTES // (8 * n * n))
     block = np.empty((min(per, len(primes)), n, n), dtype=np.int64)  # reused by every batch
     residues = []
     for i in range(0, len(primes), per):
@@ -97,9 +100,10 @@ def modular_primes(bound_sq: int, n: int = 2) -> tuple:
     the modulus, exceeds twice that.  One further prime, the last in the
     list, checks the result.  InvalidParameter if the primes run out."""
     primes, modulus = [], 1
+    need = math.isqrt(4 * bound_sq)  # modulus^2 > 4 bound_sq iff modulus > need
     for q in _primes_1_mod(n):
         primes.append(q)
-        if modulus * modulus > 4 * bound_sq:
+        if modulus > need:
             return primes, modulus
         modulus *= q
     raise InvalidParameter(f"the primes 1 mod {n} below {_PRIME_BOUND} cannot "
@@ -151,11 +155,13 @@ def _det_mod(a, primes) -> list:
     and updates only the panel's columns: a row swapped in from below has
     had none of the panel's updates.  The panel's rows are then
     forward-substituted right of it (U12), and L21 U12 leaves the trailing
-    block as two float64 products, U12 split into 13-bit halves.  Exact:
-    L and the halves are reduced, so a term is below 2^26 * 2^13 = 2^39
-    and a sum of _PANEL <= 32 non-negative terms below 2^53, in any order
-    BLAS adds them.  In int64 each entry still gains at most one product
-    of two residues per eliminated column: |entry| < n q^2 + q < 2^63.
+    block as two float64 products, a few rows of L21 at a time, each row
+    split as h 2^13 + l with l < 2^13.  Exact: L21 and U12 are reduced, so
+    h, l < 2^13 and a sum of _PANEL <= 32 non-negative terms h u (or l u)
+    is below 32 * 2^13 * 2^26 = 2^44; every partial sum BLAS forms, in any
+    order, is such a sum or 2^13 times one, within float64's 53 bits.  In
+    int64 each entry still gains at most one product of two residues per
+    eliminated column: |entry| < n q^2 + q < 2^63.
     """
     nb, n, _ = a.shape
     q = np.broadcast_to(np.asarray(primes, dtype=np.int64), (nb,))
@@ -165,6 +171,10 @@ def _det_mod(a, primes) -> list:
     at = np.arange(nb)
     det = np.ones(nb, dtype=np.int64)
     qc = q[:, None]
+    # the trailing-update products, in one buffer made once: the first
+    # update is the largest, nb * (rows of a step) * (n - _PANEL) entries
+    cols = max(0, n - _PANEL)
+    product = np.empty(min(nb * cols * cols, max(_PRODUCT_ENTRIES, nb * cols)))
     for k0 in range(0, n, _PANEL):
         k1 = min(k0 + _PANEL, n)
         for k in range(k0, k1):
@@ -183,11 +193,12 @@ def _det_mod(a, primes) -> list:
         for k in range(k0, k1):
             a[:, k, k1:] %= qc
             a[:, k + 1:k1, k1:] -= a[:, k + 1:k1, k, None] * a[:, k, None, k1:]
-        low, u = a[:, k1:, k0:k1].astype(np.float64), a[:, k0:k1, k1:]
-        hi, lo = (u >> 13).astype(np.float64), (u & 8191).astype(np.float64)
+        u = a[:, k0:k1, k1:].astype(np.float64)
         step = max(1, _PRODUCT_ENTRIES // (nb * (n - k1)))
         for i in range(k1, n, step):
-            rows = low[:, i - k1:i - k1 + step]
-            a[:, i:i + step, k1:] -= (rows @ hi).astype(np.int64) << 13
-            a[:, i:i + step, k1:] -= (rows @ lo).astype(np.int64)
+            rows, rest = a[:, i:i + step, k0:k1], a[:, i:i + step, k1:]
+            f = product[:rest.size].reshape(rest.shape)
+            for half in (rows & -8192, rows & 8191):  # h 2^13, then l
+                np.matmul(half.astype(np.float64), u, out=f)
+                np.subtract(rest, f, out=rest, dtype=np.int64, casting="unsafe")
     return det.tolist()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InexactDivision, InvalidParameter, PreconditionViolated
@@ -337,8 +336,9 @@ def check_symmetric_power_divisibility(poly_coeffs, p: int) -> bool:
     Input is the coefficient list of prod(1 + alpha_i y) = 1 + e_1 y +
     ... + e_n y^n.  Power sums of the alpha_i come from integer Newton
     recurrences; elementary symmetric functions of the alpha_i^p come
-    back from the power sums s_{ip} over Fractions with an exactness
-    check.  Returns True iff all are divisible by p^3.
+    back from the power sums s_{ip} by Newton's identities over the
+    integers, each division by k checked to be exact.  Returns True iff
+    all are divisible by p^3.
     """
     coeffs = [int(c) for c in poly_coeffs]
     if not coeffs or coeffs[0] != 1:
@@ -354,19 +354,17 @@ def check_symmetric_power_divisibility(poly_coeffs, p: int) -> bool:
     # power sums s_1..s_{np} via Newton's identities (exact integers)
     s = _newton_power_sums(e, n * p)
     caps = [s[i * p - 1] for i in range(1, n + 1)]
-    es = [Fraction(1)]
+    es = [1]
     for k in range(1, n + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, k + 1):
             t = es[k - i] * caps[i - 1]
             acc += t if i % 2 else -t
-        es.append(acc / k)
-    out = []
-    for v in es[1:]:
-        if v.denominator != 1:
-            raise InexactDivision(f"symmetric function is not integral: {v}")
-        out.append(int(v))
-    return all(v % p ** 3 == 0 for v in out)
+        if acc % k:
+            g = math.gcd(acc, k)
+            raise InexactDivision(f"symmetric function is not integral: {acc // g}/{k // g}")
+        es.append(acc // k)
+    return all(v % p ** 3 == 0 for v in es[1:])
 
 
 def _newton_power_sums(e, count: int) -> list:

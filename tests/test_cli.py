@@ -54,6 +54,17 @@ def test_envelope_keys_and_order(capsys):
     assert isinstance(rep["elapsed_ms"], int)
 
 
+@pytest.mark.parametrize("size", [0, 3, 1 << 20])
+def test_digest_is_hashlib_sha256(size):
+    # the CLI takes sha256 from CPython's built-in module, not hashlib
+    import hashlib
+
+    from groupdet.cli import _digest
+
+    data = random.Random(size).randbytes(size)
+    assert _digest(data) == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def test_seed_echoed_only_for_randomized_commands(capsys):
     _, rep = run_report(capsys, "verify", "lemma1", "--p", "3",
                         "--trials", "5", "--seed", "42")
@@ -710,9 +721,11 @@ def test_roots_check_prime_failure_exits_1_under_python_O(tmp_path, make_input):
 
 
 def test_no_subcommand_imports_numpy_ma(tmp_path):
-    # on numpy 2 a plain np.unique imports numpy.ma, 10 to 25 ms and about
-    # 1.5 MB in a fresh process; one small call of each subcommand in one
-    # interpreter, which prints the first call after which numpy.ma is loaded
+    # modules no run needs, each costing a fresh process milliseconds and
+    # RSS: on numpy 2 a plain np.unique imports numpy.ma (10 to 25 ms,
+    # about 1.5 MB), hashlib's OpenSSL backend _hashlib (5 ms, 3.6 MB) and
+    # fractions (with decimal, 3 ms).  One small call of each subcommand in
+    # one interpreter, which prints the first call after which one is loaded
     calls = [
         ["compute", _heisenberg_input(tmp_path)], ["oracle", _oracle_input(tmp_path)],
         ["verify", "congruence", "--p", "3", "--trials", "3"],
@@ -736,8 +749,9 @@ def test_no_subcommand_imports_numpy_ma(tmp_path):
         "for argv in json.loads(sys.argv[1]):\n"
         "    with redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
-        "    if code or 'numpy.ma' in sys.modules:\n"
-        "        print(code, argv)\n"
+        "    loaded = [m for m in ('numpy.ma', '_hashlib', 'fractions') if m in sys.modules]\n"
+        "    if code or loaded:\n"
+        "        print(code, argv, loaded)\n"
         "        break\n"
     )
     src = str(Path(groupdet.__file__).resolve().parent.parent)

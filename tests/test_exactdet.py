@@ -259,6 +259,62 @@ def test_det_int_check_prime_catches_a_wrong_residue(monkeypatch):
         det_int(m)
 
 
+def _old_modular_primes(bound_sq, n):
+    """The selection as first written: square the modulus after each prime."""
+    primes, modulus = [], 1
+    for q in exactdet._primes_1_mod(n):
+        primes.append(q)
+        if modulus * modulus > 4 * bound_sq:
+            return primes, modulus
+        modulus *= q
+
+
+@pytest.mark.parametrize("n", [2, 7, 125])
+def test_modular_primes_cover_twice_the_bound_and_no_more(n):
+    # the primes before the check prime multiply to the modulus, whose
+    # square exceeds 4 bound_sq; without their last prime it does not
+    rng = random.Random(8000 + n)
+    q = list(islice(exactdet._primes_1_mod(n), 3))
+    m1, m2 = q[0], q[0] * q[1]
+    bounds = [0, 1, 2, rng.getrandbits(300), rng.getrandbits(1500)]
+    # 4 bound_sq the even square just below or just above a modulus^2,
+    # which is odd; then just below and above m2^2 but not a square
+    bounds += [t * t for m in (m1, m2) for t in ((m - 1) // 2, (m + 1) // 2)]
+    bounds += [(m2 * m2) // 4 + d for d in (-1, 1)]
+    for bound_sq in bounds:
+        primes, modulus = exactdet.modular_primes(bound_sq, n)
+        assert (primes, modulus) == _old_modular_primes(bound_sq, n)
+        assert math.prod(primes[:-1]) == modulus
+        assert modulus * modulus > 4 * bound_sq
+        assert len(primes) == 1 or (modulus // primes[-2]) ** 2 <= 4 * bound_sq
+
+
+@pytest.mark.parametrize("order, most_passes, peak_mb", [(125, 1, 6), (300, 11, 8)])
+def test_det_int_block_passes_and_memory(monkeypatch, traced_peak, order, most_passes, peak_mb):
+    # a circulant with coefficients in [-2, 2], as the oracle builds: one
+    # _det_mod pass at order 125 (21 primes in one 4 MB block), passes of
+    # 5 primes at order 300; the block and the product buffers keep the
+    # traced peak within a few MB
+    from groupdet.groups import KINDS, GroupRingElt, build_group, cayley_matrix
+
+    rng = random.Random(9000 + order)
+    coeffs = [rng.randint(-2, 2) for _ in range(order)]
+    m = cayley_matrix(GroupRingElt(build_group("cyclic", order), coeffs))
+    _, exact = KINDS["cyclic"].route((order,))
+    passes = []
+    original = exactdet._det_mod
+
+    def counted(a, primes):
+        passes.append(len(primes))
+        return original(a, primes)
+
+    monkeypatch.setattr(exactdet, "_det_mod", counted)
+    d, peak = traced_peak(lambda: det_int(m))
+    assert d == exact([coeffs])[0] != 0
+    assert len(passes) <= most_passes
+    assert peak <= peak_mb << 20, f"{peak / 2**20:.2f} MB"
+
+
 def test_det_mod_refuses_sizes_that_overflow_int64():
     # n q^2 + q passes 2^63 from n = 2049 for the largest prime below
     # 2^26; a zero-stride view, so no block is allocated
@@ -309,6 +365,17 @@ def test_panel_elimination_matches_bareiss(n):
     rng = random.Random(7000 + n)
     qs = _first_primes(3)
     for name, m, d in _panel_cases(rng, n):
+        if d is None:
+            d = _bareiss(m)
+        assert _residues(m, qs) == [d % q for q in qs], name
+
+
+def test_panel_elimination_with_21_primes_in_a_block():
+    # the batch of a dense order-125 Cayley matrix: 21 primes in one block,
+    # each trailing update taken in several steps through the buffers
+    rng = random.Random(7200)
+    qs = _first_primes(21)
+    for name, m, d in _panel_cases(rng, 97):
         if d is None:
             d = _bareiss(m)
         assert _residues(m, qs) == [d % q for q in qs], name
