@@ -112,7 +112,6 @@ def _cmd_compute(ns):
         data = fh.read()
     pin = poly_from_json(data.decode())
     kind = kind_of(pin.kind)
-    route, exact = kind.route(pin.params)
     group = describe_group(pin.kind, pin.params)
     coeffs = kind.flat_coeffs(pin.params, pin.terms)
     value_at_one = sum(coeffs)
@@ -125,7 +124,7 @@ def _cmd_compute(ns):
         residue_ok = is_power_residue(m, p, 3) if coprime else None
         div_ok = None
         if not coprime:
-            div_ok = heisenberg_divisibility_check(p, coeffs, m).meets_bound
+            div_ok = heisenberg_divisibility_check(p, m).meets_bound
         checks = {
             "congruence_mod_p3": cong.holds,
             "coprime_residue": residue_ok,
@@ -134,7 +133,7 @@ def _cmd_compute(ns):
         ok = all(v for v in checks.values() if v is not None)
         results = {
             "group": group,
-            "route": route,
+            "route": "factorized",
             "p": p,
             "m": str(m),
             "m1": str(fac.m1),
@@ -146,6 +145,7 @@ def _cmd_compute(ns):
             "all_checks_pass": ok,
         }
         return results, 0 if ok else 1, None, _digest(data)
+    route, exact = kind.route(pin.params)
     m = exact([coeffs])[0]
     q = kind.base_prime(pin.params)
     results = {

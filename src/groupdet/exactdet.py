@@ -7,7 +7,9 @@ below 2^26 past twice a bound on the value, and ``crt_values`` recovers
 the values and checks each against one further prime, for ``det_int``
 and for the roots-of-unity engine of ``measures``, which evaluates at
 n-th roots of unity modulo those primes and eliminates its Heisenberg
-blocks with ``_det_mod`` too.
+blocks with ``_det_mod`` too.  ``_exact_rows`` reads integer arrays as
+int64 or Python ints for both and for the searches, and ``_hadamard_sq``
+bounds ``det_int`` and the engine's direct routes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import GroupDetError, InvalidParameter
 # order about 140, batches of 5 primes at order 300.
 _PRIME_BOUND = 1 << 26
 _BLOCK_BYTES = 1 << 22
+_INT64_MAX = (1 << 63) - 1
 # Column panels of _det_mod, at most 32 wide (its docstring); its products
 # of at most 2^15 entries (256 KB) stay on one OpenBLAS thread.
 _PANEL = 16
@@ -52,19 +55,47 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _exact_rows(block, width: int, room: int = 1):
+    """``block`` as a (B, width) array of exact integers: int64 when every
+    entry times ``room`` stays inside int64, else Python ints in an
+    object array."""
+    try:
+        a = np.asarray(block, dtype=np.int64)
+    except (OverflowError, ValueError):
+        rows = [list(map(int, r)) for r in block]
+        if any(len(r) != width for r in rows):
+            raise InvalidParameter(f"need rows of {width} coefficients") from None
+        return np.array(rows, dtype=object).reshape(len(rows), width)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise InvalidParameter(f"need rows of {width} coefficients, got shape {a.shape}")
+    limit = _INT64_MAX // room
+    if a.size and not (-limit <= a.min() and a.max() <= limit):
+        return a.astype(object)
+    return a
+
+
+def _hadamard_sq(x) -> int:
+    """(largest sum c^2 over the rows of the exact array x)^(its width):
+    the squared Hadamard bound of a matrix whose rows all have that norm,
+    as the rows of one Cayley matrix do, and past it for any other."""
+    if x.dtype != object and -(1 << 20) < x.min() and x.max() < 1 << 20:
+        norm = int(np.einsum("ij,ij->i", x, x).max())
+    else:
+        norm = max(sum(v * v for v in r) for r in x.tolist())
+    return norm ** x.shape[1]
+
+
 def det_int(rows) -> int:
     """Exact determinant of a nonempty square matrix of Python ints (lists
-    or an object array), taken modulo the ``modular_primes`` of its
-    Hadamard bound, recovered by ``crt_values``, checked by one more prime.
+    or an object array), taken modulo the ``modular_primes`` of
+    ``_hadamard_sq``, recovered by ``crt_values``, checked by one more
+    prime.
     """
     n = len(rows)
     if not n or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
-    primes, modulus = modular_primes(math.prod(sum(a * a for a in r) for r in rows))
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:  # entries past int64 are reduced exactly, as Python ints
-        a = np.array(rows, dtype=object)
+    a = _exact_rows(rows, n)
+    primes, modulus = modular_primes(_hadamard_sq(a))
     per = max(1, _BLOCK_BYTES // (8 * n * n))
     block = np.empty((min(per, len(primes)), n, n), dtype=np.int64)  # reused by every batch
     residues = []

@@ -112,11 +112,10 @@ def heisenberg_infinite_measure(f0, fk, points: int = 512) -> LimitMeasure:
     Only this binomial-in-x shape has the closed slice form: for each z
     on the unit circle the integrand is the larger of the two slice
     Mahler measures in y, and the result is the mean over ``points``
-    equally spaced z.  Inputs are {(y_exp, z_exp): coefficient} dicts (a
-    plain integer key is a pure power of y).  A slice vanishing
-    identically raises ZeroSlice; an identically-zero input raises
-    ZeroPolynomial.  The z grid goes through the root kernel in chunks,
-    so memory does not grow with ``points``.
+    equally spaced z.  Inputs are {(y_exp, z_exp): coefficient} dicts.
+    A slice vanishing identically raises ZeroSlice; an identically-zero
+    input raises ZeroPolynomial.  The z grid goes through the root kernel
+    in chunks, so memory does not grow with ``points``.
     """
     f0 = _as_bivariate(f0)
     fk = _as_bivariate(fk)
@@ -146,17 +145,16 @@ def heisenberg_infinite_measure(f0, fk, points: int = 512) -> LimitMeasure:
 
 
 def _as_bivariate(f) -> dict:
-    if isinstance(f, dict):
-        out = {}
-        for key, c in f.items():
-            if isinstance(key, int):
-                key = (key, 0)
-            if len(key) != 2:
-                raise InvalidParameter(f"bivariate exponent {key!r} must be a pair")
-            if c:
-                out[(int(key[0]), int(key[1]))] = out.get((int(key[0]), int(key[1])), 0) + c
-        return out
-    raise InvalidParameter(f"cannot read {type(f).__name__} as a bivariate polynomial")
+    if not isinstance(f, dict):
+        raise InvalidParameter(f"cannot read {type(f).__name__} as a bivariate polynomial")
+    out = {}
+    for key, c in f.items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise InvalidParameter(f"bivariate exponent {key!r} must be a pair")
+        if c:
+            key = (int(key[0]), int(key[1]))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def _slice_rows(f, zv):

@@ -45,32 +45,13 @@ from itertools import product
 import numpy as np
 
 from .errors import GroupDetError, InvalidParameter, NotInteger
-from .exactdet import _PRIME_BOUND, _det_mod, _pow_mod, crt_values, is_prime, modular_primes
+from .exactdet import (_PRIME_BOUND, _det_mod, _exact_rows, _hadamard_sq, _pow_mod, crt_values,
+                       is_prime, modular_primes)
 
 # rows x cells of one pass over a chunk: each int64 array of a pass stays
 # within 8 MB, so memory does not grow with the chunk
 _ROOT_CELLS = 1 << 20
 _RADIX = 64  # the longest contraction of a composite length, see ``_plan``
-_INT64_MAX = (1 << 63) - 1
-
-
-def _exact_rows(block, width: int, room: int = 1):
-    """``block`` as a (B, width) array of exact integers: int64 when every
-    entry times ``room`` stays inside int64, else Python ints in an
-    object array."""
-    try:
-        a = np.asarray(block, dtype=np.int64)
-    except (OverflowError, ValueError):
-        rows = [list(map(int, r)) for r in block]
-        if any(len(r) != width for r in rows):
-            raise InvalidParameter(f"need rows of {width} coefficients") from None
-        return np.array(rows, dtype=object).reshape(len(rows), width)
-    if a.ndim != 2 or a.shape[1] != width:
-        raise InvalidParameter(f"need rows of {width} coefficients, got shape {a.shape}")
-    limit = _INT64_MAX // room
-    if a.size and not (-limit <= a.min() and a.max() <= limit):
-        return a.astype(object)
-    return a
 
 
 def _chunked(f, a, cells: int) -> list:
@@ -362,15 +343,6 @@ def heisenberg_binomial_measure(f0, fk, k: int, p: int) -> HeisenbergFactorizati
 # coefficients c.
 
 
-def _hadamard_sq(x) -> int:
-    # (largest sum c^2 over the rows)^|G|: the Hadamard bound, squared
-    if x.dtype != object and -(1 << 20) < x.min() and x.max() < 1 << 20:
-        norm = int(np.einsum("ij,ij->i", x, x).max())
-    else:
-        norm = max(sum(v * v for v in r) for r in x.tolist())
-    return norm ** x.shape[1]
-
-
 def _direct(block, parts: int, moduli, factor) -> list:
     # rows of ``parts`` polynomials on the labels of the product with these
     # moduli, evaluated at every character
@@ -460,17 +432,12 @@ def measure_h3(block) -> list:
     flat coefficient vectors (a_ijk at 9i + 3j + k), as a list of ints.
 
     Rows of height at most H3_HEIGHT are evaluated together in int64; the
-    other rows, or every row of a block that does not fit int64, go as one
-    block to ``heisenberg_factorizations``.  The products m1 and m2 are
-    certified: a nonzero w-coordinate raises NotInteger."""
-    try:
-        block = np.asarray(block, dtype=np.int64)
-    except OverflowError:
-        return [f.m for f in heisenberg_factorizations(3, block)]
-    if block.ndim != 2 or block.shape[1] != 27:
-        raise InvalidParameter(f"need rows of 27 coefficients, got shape {block.shape}")
+    other rows go as one block to ``heisenberg_factorizations``.  The
+    products m1 and m2 are certified: a nonzero w-coordinate raises
+    NotInteger."""
+    block = _exact_rows(block, 27)
     fits = ((block >= -H3_HEIGHT) & (block <= H3_HEIGHT)).all(axis=1)
-    v = block[fits] @ _H3_MATRIX
+    v = block[fits].astype(np.int64, copy=False) @ _H3_MATRIX
     z = list(zip(v[:, :27].T, v[:, 27:].T))
     m1 = z[0]
     for k in range(1, 9, 2):

@@ -33,12 +33,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, GroupDetError, InvalidParameter
+from .exactdet import _INT64_MAX, _exact_rows
 from .groups import kind_of
 from .verify import achieve_construction, is_power_residue
 
 DEFAULT_BUDGET = 100_000_000
 MAX_DISTINCT_VALUES = 1_000_000
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 # bytes of a block of int64 rows, of its random draws, of a class-pair tile
 _BLOCK_BYTES = 1 << 18
 
@@ -76,7 +76,6 @@ class SearchConfig:
     trials: int = 10000
     seed: int = 0
     value_filter: str = "all"
-    budget: Optional[int] = None
     max_values: int = MAX_DISTINCT_VALUES
 
 
@@ -148,7 +147,7 @@ class _Collector:
         and the first row of least |m| >= 2 replaces the witness if
         strictly smaller."""
         self.evaluations += len(values)
-        values = _int_array(values)
+        values = _exact_rows([values], len(values))[0]  # int64 iff every |value| fits
         at = np.flatnonzero(self._kept(values))
         values = values[at]
         distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
@@ -165,15 +164,6 @@ class _Collector:
             i = big[np.argmin(size[big])]
             if self.best is None or size[i] < self.best[0]:
                 self.best = (int(size[i]), int(values[i]), tuple(rows[at[i]].tolist()))
-
-
-def _int_array(values):
-    # int64 where every value and its absolute value fit, else Python ints
-    try:
-        a = np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-    return a if not a.size or a.min() > _INT64_MIN else np.array(values, dtype=object)
 
 
 def _collect(cfg: SearchConfig, blocks, col: _Collector) -> _Collector:
@@ -294,7 +284,7 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
         raise InvalidParameter(f"height must be >= 0, got {h}")
     total = _Collector(cfg)
     if cfg.mode == "exhaustive":
-        budget = cfg.budget if cfg.budget is not None else evaluation_budget()
+        budget = evaluation_budget()
         if cfg.kind == "dihedral" and cfg.params[0] == 8:
             return _enumerate_dihedral8(cfg, budget)
         count = (2 * h + 1) ** order
@@ -308,8 +298,7 @@ def enumerate_values(cfg: SearchConfig) -> SearchResult:
         _collect(cfg, _random_blocks(cfg.seed, cfg.trials, order, h), total)
     else:
         raise InvalidParameter(f"unknown search mode {cfg.mode!r}")
-    batched = cfg.kind == "heisenberg" and cfg.params[0] == 3
-    return _result_from_collector(cfg, total, "batched" if batched else kind.route(cfg.params)[0])
+    return _result_from_collector(cfg, total, kind.route(cfg.params)[0])
 
 
 def _result_from_collector(cfg: SearchConfig, col: _Collector, route: str) -> SearchResult:
@@ -415,15 +404,15 @@ def _enumerate_dihedral8(cfg: SearchConfig, budget: int) -> SearchResult:
 # -- growth constants --------------------------------------------------------
 
 
-def min_coprime_residue(p: int, n: int = 3) -> int:
-    """Smallest x >= 2 with x^(p-1) == 1 mod p^n: the smallest value
-    coprime to p that the order-p^3 Heisenberg group can attain (n = 3),
-    by the classification of coprime values."""
-    mod = p ** n
+def min_coprime_residue(p: int) -> int:
+    """Smallest x >= 2 with x^(p-1) == 1 mod p^3: the smallest value
+    coprime to p that the order-p^3 Heisenberg group can attain, by the
+    classification of coprime values."""
+    mod = p ** 3
     for x in range(2, mod + 1):
         if pow(x, p - 1, mod) == 1:
             return x
-    raise InvalidParameter(f"no unit below p^{n} found (impossible for p >= 2)")
+    raise InvalidParameter("no unit below p^3 found (impossible for p >= 2)")
 
 
 def lambda_heisenberg(p: int) -> dict:
@@ -436,7 +425,7 @@ def lambda_heisenberg(p: int) -> dict:
     actually attained.  Multiples of p are never competitive: the
     smallest admissible one is p^(p^2+3).
     """
-    min_x = min_coprime_residue(p, 3)
+    min_x = min_coprime_residue(p)
     pc = p ** 3
     witness = None
     for target in (min_x, -min_x):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InexactDivision, InvalidParameter, PreconditionViolated
 from .exactdet import is_prime
@@ -61,12 +60,9 @@ class CongruenceReport:
     holds: bool
 
 
-def check_measure_congruence(p: int, coeffs, m: Optional[int] = None) -> CongruenceReport:
+def check_measure_congruence(p: int, coeffs, m: int) -> CongruenceReport:
     """Verify that the determinant m of F (its coefficient vector) over
-    the order-p^3 Heisenberg group, computed here unless given, is
-    congruent to F(1,1,1)^(p^3) mod p^3."""
-    if m is None:
-        m = heisenberg_measure(p, coeffs).m
+    the order-p^3 Heisenberg group is congruent to F(1,1,1)^(p^3) mod p^3."""
     modulus = p ** 3
     base = sum(coeffs)
     lhs = m % modulus
@@ -148,6 +144,15 @@ class SharpnessReport:
     exact: bool
 
 
+def _sharpness(family: str, p: int, m: int, expected: int, k: int = 0,
+               applicable: bool = True) -> SharpnessReport:
+    # the verdict on p^expected dividing m, vacuous unless applicable
+    v = p_valuation(m, p)
+    return SharpnessReport(family=family, p=p, k=k, value=m, expected_valuation=expected,
+                           actual_valuation=v, applicable=applicable,
+                           meets_bound=not applicable or v >= expected, exact=v == expected)
+
+
 def zp2_divisibility_check(coeffs2d, p: int) -> SharpnessReport:
     """Over Z_p x Z_p: if p divides the determinant then p^(p+3) does.
 
@@ -155,59 +160,32 @@ def zp2_divisibility_check(coeffs2d, p: int) -> SharpnessReport:
     coprime to p.
     """
     m = char_product_2d(coeffs2d, p)
-    expected = p + 3
-    v = p_valuation(m, p)
-    applicable = not (m % p)
-    meets = (not applicable) or v >= expected
-    return SharpnessReport(family="zp2", p=p, k=0, value=m,
-                           expected_valuation=expected, actual_valuation=v,
-                           applicable=applicable, meets_bound=meets,
-                           exact=v == expected)
+    return _sharpness("zp2", p, m, p + 3, applicable=not m % p)
 
 
-def zp2_sharp_family(p: int, k: int = 0, units=(1, 1, 1)):
-    """The two-variable family A1 p^(1+k) + A2 (1 - x) + A3 (1 - y)^2
-    whose determinant over Z_p x Z_p has p-valuation exactly p + 3 + k.
+def zp2_sharp_family(p: int, k: int = 0):
+    """The two-variable family p^(1+k) + (1 - x) + (1 - y)^2 whose
+    determinant over Z_p x Z_p has p-valuation exactly p + 3 + k.
 
     Requires p >= 5 (for p = 3 the family can lose exactness to
-    cancellation) and unit coefficients coprime to p.
+    cancellation).
     """
     if not is_prime(p) or p < 5:
         raise InvalidParameter(f"sharp family needs a prime p >= 5, got {p}")
     if k < 0:
         raise InvalidParameter(f"need k >= 0, got {k}")
-    a1, a2, a3 = units
-    if any(u % p == 0 for u in units):
-        raise PreconditionViolated(f"units {units} must be coprime to p = {p}")
     grid = [[0] * p for _ in range(p)]
-    grid[0][0] = a1 * p ** (1 + k) + a2 + a3
-    grid[1][0] = -a2
-    grid[0][1] = -2 * a3
-    grid[0][2] = a3
-    m = char_product_2d(grid, p)
-    v = p_valuation(m, p)
-    expected = p + 3 + k
-    return grid, SharpnessReport(family="zp2-sharp", p=p, k=k, value=m,
-                                 expected_valuation=expected,
-                                 actual_valuation=v, applicable=True,
-                                 meets_bound=v >= expected,
-                                 exact=v == expected)
+    grid[0][0] = p ** (1 + k) + 2
+    grid[1][0] = -1
+    grid[0][1] = -2
+    grid[0][2] = 1
+    return grid, _sharpness("zp2-sharp", p, char_product_2d(grid, p), p + 3 + k, k=k)
 
 
-def heisenberg_divisibility_check(p: int, coeffs, m: Optional[int] = None) -> SharpnessReport:
+def heisenberg_divisibility_check(p: int, m: int) -> SharpnessReport:
     """Over the order-p^3 Heisenberg group: if p divides the determinant
-    m of F (its coefficient vector), computed here unless given, then
-    p^(p^2+3) does."""
-    if m is None:
-        m = heisenberg_measure(p, coeffs).m
-    expected = p * p + 3
-    v = p_valuation(m, p)
-    applicable = not (m % p)
-    meets = (not applicable) or v >= expected
-    return SharpnessReport(family="heisenberg", p=p, k=0, value=m,
-                           expected_valuation=expected, actual_valuation=v,
-                           applicable=applicable, meets_bound=meets,
-                           exact=v == expected)
+    m of some F then p^(p^2+3) does."""
+    return _sharpness("heisenberg", p, m, p * p + 3, applicable=not m % p)
 
 
 def smallest_non_fermat_base(p: int) -> int:
@@ -233,13 +211,7 @@ def heisenberg_sharp_family(p: int):
     s = (a - 1) ** 2
     f = KINDS["heisenberg"].flat_coeffs(
         (p,), [((0, 0, 0), p + s - 1), ((1, 0, 0), -s), ((0, 1, 0), 2), ((0, 2, 0), -1)])
-    fac = heisenberg_measure(p, f)
-    v = p_valuation(fac.m, p)
-    expected = p * p + 3
-    return f, SharpnessReport(family="heisenberg-sharp", p=p, k=0,
-                              value=fac.m, expected_valuation=expected,
-                              actual_valuation=v, applicable=True,
-                              meets_bound=v >= expected, exact=v == expected)
+    return f, _sharpness("heisenberg-sharp", p, heisenberg_measure(p, f).m, p * p + 3)
 
 
 # -- the five order-27 families --------------------------------------------

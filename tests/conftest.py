@@ -1,6 +1,7 @@
 """Shared pytest wiring: replay acceptance-criterion lines at the end,
 and measure the traced memory peak of a call."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +19,21 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture
+def default_int_str_cap():
+    """Put back the interpreter's default 4,300-digit cap on int/str
+    conversion, which main lifts for the rest of the process."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -79,7 +79,8 @@ def test_criterion_02_determinant_congruence_mod_p3():
         rng = random.Random(202)
         for p in (3, 5):
             for _ in range(500):
-                rep = check_measure_congruence(p, random_heisenberg_poly(rng, p, 5))
+                f = random_heisenberg_poly(rng, p, 5)
+                rep = check_measure_congruence(p, f, heisenberg_measure(p, f).m)
                 assert rep.holds
                 assert rep.lhs_residue == rep.rhs_residue
                 _register(rep.m, p)
@@ -159,7 +160,7 @@ def test_criterion_06_heisenberg_divisibility_and_p5_sharpness():
         for _ in range(200):
             f = random_heisenberg_poly(rng, 3, 4)
             f[0] += -sum(f) % 3
-            rep = heisenberg_divisibility_check(3, f)
+            rep = heisenberg_divisibility_check(3, heisenberg_measure(3, f).m)
             assert rep.applicable
             assert rep.meets_bound
             assert rep.value == 0 or rep.actual_valuation >= 12

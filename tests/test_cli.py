@@ -180,7 +180,7 @@ def test_oracle_agrees_with_fast_route(capsys, tmp_path):
     res = rep["results"]
     assert res["matches"] is True
     assert res["m_oracle"] == res["m_fast"]
-    assert res["fast_route"] == "factorized"
+    assert res["fast_route"] == "batched"
 
 
 # -- verification subcommands ------------------------------------------------
@@ -370,6 +370,8 @@ def test_group_token_parameter_count_checked(capsys, token):
     ("heisenberg:4", "Heisenberg group needs an odd prime, got 4"),
     ("dihedral:7", "dihedral order must be even, got 7"),
     ("dicyclic:6", "dicyclic order must be divisible by 4, got 6"),
+    ("cyclic", "group token 'cyclic' needs parameters, e.g. heisenberg:3"),
+    ("cyclic:x", "bad group parameters in 'cyclic:x'"),
 ])
 def test_search_bad_group_parameters_exit_2(capsys, token, message):
     code, out, err = run_cli(capsys, "search", "--group", token, "--height", "1",
@@ -490,6 +492,7 @@ def test_compute_order_one_group_exits_2(capsys, tmp_path, group, exps):
     (("--trials", "-3"), "--trials must be >= 1, got -3"),
     (("--trials", "0"), "--trials must be >= 1, got 0"),
     (("--max-values", "-1"), "--max-values must be >= 0, got -1"),
+    (("--height", "-1"), "height must be >= 0, got -1"),
 ])
 def test_search_rejects_out_of_range_flags(capsys, flags, message):
     code, out, err = run_cli(capsys, "search", "--group", "cyclic:3", "--height", "1",
@@ -543,6 +546,23 @@ def test_verify_rejects_composite_p(capsys):
     assert "9" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "congruence", "--p", "3", "--trials", "0"), "--trials must be >= 1, got 0"),
+    (("verify", "congruence", "--p", "3", "--height", "0"), "--height must be >= 1, got 0"),
+    (("h3-values", "--m-range=5"), "bad --m-range '5': expected LO..HI"),
+    (("h3-values", "--m-range=a..b"), "bad --m-range 'a..b': bounds must be integers"),
+    (("h3-values", "--m-range=5..1"), "bad --m-range '5..1': LO must not exceed HI"),
+    (("lambda", "--p", "4"), "--p must be an odd prime, got 4"),
+    (("measure", "heis", "--f", "3+y+z", "--g", "1", "--points", "0"),
+     "--points must be >= 1, got 0"),
+    (("measure", "dinfh", "--f", "1+x", "--g", "1+x"),
+     "a combination f f~ -+ g g~ vanishes identically"),
+    (("measure", "dinf", "--f", "2^3", "--g", "0"), "unexpected token '^' at position 1"),
+])
+def test_input_errors_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
@@ -576,21 +596,6 @@ def test_unexpected_exception_exits_3(capsys, tmp_path, monkeypatch):
 
 
 # -- big integers and the multimodular certificate ---------------------------
-
-
-@pytest.fixture
-def default_int_str_cap():
-    """Put back the interpreter's default 4,300-digit cap on int/str
-    conversion, which main lifts for the rest of the process."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def test_compute_prints_an_m_past_the_4300_digit_cap(capsys, tmp_path, default_int_str_cap):

@@ -236,12 +236,15 @@ def test_det_int_hard_cases(n):
 
 
 def test_det_int_bound_leaves_room_for_the_sign():
-    # a diagonal determinant equals its Hadamard bound; just above half the
-    # product of three primes, three primes cover |det| but not its sign
+    # a 1 x 1 determinant equals its Hadamard bound; just above half the
+    # product of three primes, three primes cover |det| but not its sign.
+    # A diagonal 8 x 8 matrix of the same determinant has a larger bound,
+    # (largest row norm)^8, since its rows differ in norm
     q1, q2, q3 = _first_primes(3)
     d = q1 * q2 * q3 // 2 + 1
     n = 8
     for v in (d, -d):
+        assert det_int([[v]]) == v
         m = [[v if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
         assert det_int(m) == v
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,24 @@ def test_non_associative_loop_is_rejected():
     with pytest.raises(InvalidParameter, match="not associative"):
         GroupSpec("cyclic", (5,), LOOP5, labels)
     assert GroupSpec("cyclic", (5,), Z5, labels).order == 5
+
+
+@pytest.mark.parametrize("mul,labels,message", [
+    (Z5, [(0,), (1,), (1,), (3,), (4,)], "element exponent labels are not distinct"),
+    ([row[:4] + [5] for row in Z5], None, "multiplication table is malformed"),
+    ([[(i + j + 1) % 5 for j in range(5)] for i in range(5)], None,
+     "index 0 is not a two-sided identity"),
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 0]], None, "multiplication table is not a Latin square"),
+])
+def test_malformed_tables_are_rejected(mul, labels, message):
+    labels = labels or [(i,) for i in range(len(mul))]
+    with pytest.raises(InvalidParameter, match=message):
+        GroupSpec("cyclic", (len(mul),), mul, labels)
+
+
+def test_group_ring_element_needs_one_coefficient_per_element():
+    with pytest.raises(InvalidParameter, match="need 3 coefficients, got 2"):
+        GroupRingElt(build_group("cyclic", 3), [1, 2])
 
 
 def test_non_associative_table_past_order_200_is_rejected():
@@ -343,11 +362,25 @@ def test_json_decimal_strings_take_a_sign():
     ('{"group": {"kind": "cyclic", "n": 3}, "terms": [{"exps": [1], "coef": "a1"}]}',
      "a1"),
     ('{"group": {"kind": "product", "orders": []}, "terms": []}', "orders"),
+    ('{"group": {"kind": "cyclic", "n": 3}, "terms": [5]}', "malformed term 5"),
 ])
 def test_json_errors_name_the_offender(bad, needle):
     with pytest.raises(ParseError) as exc:
         poly_from_json(bad)
     assert needle in str(exc.value)
+
+
+def test_json_coefficient_past_the_digit_cap_is_refused(default_int_str_cap):
+    # a library caller meets the interpreter's default cap, which only the
+    # CLI lifts; there is no cap before Python 3.10.7
+    coef = "7" * 5000
+    text = json.dumps({"group": {"kind": "cyclic", "n": 2},
+                       "terms": [{"exps": [0], "coef": coef}]})
+    if hasattr(sys, "set_int_max_str_digits"):
+        with pytest.raises(ParseError, match="bad coefficient token"):
+            poly_from_json(text)
+    else:
+        assert poly_from_json(text).terms == [((0,), int(coef))]
 
 
 BAD_PARAMS = [

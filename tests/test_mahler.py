@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from groupdet import (
+    InvalidParameter,
     RootFindingFailed,
     ZeroPolynomial,
     ZeroSlice,
@@ -108,6 +109,11 @@ def test_batched_kernel_reports_the_row_that_does_not_converge():
 def test_zero_polynomial_has_no_roots():
     with pytest.raises(ZeroPolynomial):
         polynomial_roots([0, 0])
+
+
+def test_monomial_roots_are_all_zero():
+    # 2 x^2: both roots split off exactly, no iteration
+    assert polynomial_roots([0, 0, 2]).tolist() == [0, 0]
 
 
 def _log_measure_of_roots(roots):
@@ -287,6 +293,16 @@ def test_heisenberg_limit_zero_slice_detected():
         heisenberg_infinite_measure(f0, {(0, 0): 1}, points=64)
     with pytest.raises(ZeroSlice, match="angle 16/64 "):
         heisenberg_infinite_measure(f0, {(0, 1): 1, (0, 0): -1j}, points=64)
+
+
+@pytest.mark.parametrize("f0,points,message", [
+    ({(0, 0): 2}, 0, "need points >= 1, got 0"),
+    ({1: 2}, 8, "bivariate exponent 1 must be a pair"),
+    ([2], 8, "cannot read list as a bivariate polynomial"),
+])
+def test_heisenberg_limit_refuses_bad_input(f0, points, message):
+    with pytest.raises(InvalidParameter, match=message):
+        heisenberg_infinite_measure(f0, {(0, 0): 1}, points=points)
 
 
 def test_heisenberg_limit_mixes_slice_degrees():

@@ -76,9 +76,10 @@ def test_witness_reproduces_minimum():
     assert dihedral_measure([coeffs], 3) == [res.min_nontrivial]
 
 
-def test_exhaustive_budget():
+def test_exhaustive_budget(monkeypatch):
+    monkeypatch.setenv("GDET_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        enumerate_values(_cfg(budget=10))
+        enumerate_values(_cfg())
 
 
 def test_env_budget(monkeypatch):
@@ -166,6 +167,11 @@ def test_invalid_filter_rejected():
         enumerate_values(_cfg(value_filter="odd"))
 
 
+def test_invalid_mode_rejected():
+    with pytest.raises(InvalidParameter, match="unknown search mode 'sideways'"):
+        enumerate_values(_cfg(mode="sideways"))
+
+
 # -- the order-8 dihedral class-pair search -----------------------------------
 
 
@@ -178,11 +184,11 @@ def test_d8_kernel_agrees_with_generic_route():
     assert odd_from_fast == set(gen.attained_values)
 
 
-def test_d8_kernel_height_guard():
+def test_d8_kernel_height_guard(monkeypatch):
     # with the budget out of the way, the 64-bit exactness guard binds
+    monkeypatch.setenv("GDET_BUDGET", str(10 ** 18))
     with pytest.raises(BudgetExceeded):
-        enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=40,
-                                      budget=10 ** 18))
+        enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=40))
 
 
 def _d8_class_pairs(height):
@@ -200,13 +206,15 @@ def test_d8_budget_counts_class_pairs(monkeypatch):
     pairs = _d8_class_pairs(2)
     assert pairs < 5 ** 8
     monkeypatch.setattr(search, "_BLOCK_BYTES", 8 * 1000)
-    res = enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=2, budget=pairs))
+    monkeypatch.setenv("GDET_BUDGET", str(pairs))
+    res = enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=2))
     evaluations, low, vec, values = _d8_reference(2, "all")
     assert (res.evaluations, res.min_nontrivial) == (evaluations, low)
     assert res.witness == KINDS["dihedral"].terms((8,), vec)
     assert res.attained_values == values
+    monkeypatch.setenv("GDET_BUDGET", str(pairs - 1))
     with pytest.raises(BudgetExceeded, match="class pairs"):
-        enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=2, budget=pairs - 1))
+        enumerate_values(SearchConfig(kind="dihedral", params=(8,), height=2))
 
 
 @functools.lru_cache(maxsize=None)

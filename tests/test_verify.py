@@ -65,7 +65,8 @@ def test_s1_classification():
 def test_measure_congruence_random(p):
     rng = random.Random(80 + p)
     for _ in range(20):
-        rep = check_measure_congruence(p, random_heisenberg_poly(rng, p, 5))
+        f = random_heisenberg_poly(rng, p, 5)
+        rep = check_measure_congruence(p, f, heisenberg_measure(p, f).m)
         assert rep.holds
         assert rep.lhs_residue == rep.m % p ** 3
         assert rep.rhs_residue == pow(rep.base, p ** 3, p ** 3)
@@ -146,8 +147,6 @@ def test_zp2_sharp_family_validation():
         zp2_sharp_family(3)
     with pytest.raises(InvalidParameter):
         zp2_sharp_family(5, -1)
-    with pytest.raises(PreconditionViolated):
-        zp2_sharp_family(5, 0, units=(5, 1, 1))
 
 
 def test_heisenberg_divisibility_random():
@@ -158,7 +157,7 @@ def test_heisenberg_divisibility_random():
         shift = sum(f) % 3
         if shift:
             f[0] -= shift  # force 3 | F(1,1,1)
-        rep = heisenberg_divisibility_check(3, f)
+        rep = heisenberg_divisibility_check(3, heisenberg_measure(3, f).m)
         assert rep.applicable and rep.meets_bound
         assert rep.actual_valuation >= 12
         hits += 1
@@ -239,6 +238,7 @@ def test_symmetric_power_preconditions():
         check_symmetric_power_divisibility([2, 3, 3], 3)   # constant != 1
     with pytest.raises(PreconditionViolated):
         check_symmetric_power_divisibility([1, 3, 0, 3, 3, 3], 3)  # degree >= p
+    assert check_symmetric_power_divisibility([1], 3)  # degree 0: no alpha, nothing to divide
 
 
 @pytest.mark.parametrize("p", [3, 5])
